@@ -13,7 +13,6 @@ import sys
 
 from . import jsonutil, theory_lab
 from .coefficients import (
-    coefficients_from_dict,
     fixed_coefficients,
     metagpt_coefficients,
     weight_average_coefficients,

@@ -188,7 +188,13 @@ class BufferCounter:
 def ties_trim(tv: TensorBuffer, density: float) -> TensorBuffer:
     """Keep the ceil(density * n) largest-magnitude elements, zero the rest.
 
-    Equal magnitudes at the threshold are kept lowest-flat-index first.
+    O(n): ``np.partition`` finds the k-th largest magnitude ``thr``; every
+    element with ``|v| > thr`` is kept, and the remaining slots go to the
+    elements with ``|v| == thr``, lowest flat index first. That is the order
+    of a stable descending sort by magnitude, so the output does not depend
+    on how the partition breaks ties. Dropped elements are +0.0; kept ones,
+    -0.0 included, are copied as they are. Values must be finite, as every
+    tensor the engine reads is.
     """
     if not 0.0 < density <= 1.0:
         raise ValidationError(f"density out of range (0, 1]: {density}")
@@ -197,10 +203,13 @@ def ties_trim(tv: TensorBuffer, density: float) -> TensorBuffer:
     k = math.ceil(density * n)
     if k >= n:
         return tv
-    keep = np.argsort(-np.abs(v), kind="stable")[:k]
-    out = np.zeros_like(v)
-    out[keep] = v[keep]
-    return TensorBuffer(tv.name, tv.shape, out)
+    mag = np.abs(v)
+    thr = np.partition(mag, n - k)[n - k]
+    keep = mag > thr
+    need = k - np.count_nonzero(keep)
+    keep[np.flatnonzero(mag == thr)[:need]] = True
+    del mag  # free |v| before the output buffer is allocated
+    return TensorBuffer(tv.name, tv.shape, np.where(keep, v, 0.0))
 
 
 def ties_elect_sign(trimmed: list[TensorBuffer], coeffs: CoefficientSet) -> np.ndarray:

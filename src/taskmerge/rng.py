@@ -46,5 +46,10 @@ def splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
 
 
 def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Deterministic uniforms in [0, 1): draw / 2**64 as 64-bit reals."""
+    """Deterministic uniforms in [0, 1]: draw / 2**64 as 64-bit reals.
+
+    The range is closed: the uint64 -> float64 conversion rounds to nearest,
+    so every draw >= 2**64 - 1024 becomes exactly 1.0. DARE keeps an element
+    iff ``u >= p`` with ``p < 1``, so such a draw is kept either way.
+    """
     return splitmix64(seed, count, offset).astype(np.float64) * 2.0**-64

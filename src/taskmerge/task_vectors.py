@@ -29,7 +29,6 @@ class TaskVectorStats:
     task_ids: list[str]
     sq_norms: list[float]
     gram: np.ndarray | None = None
-    per_tensor_breakdown: dict[str, list[float]] | None = None
     missing_names: dict[str, list[str]] | None = None
 
     @property
@@ -87,18 +86,14 @@ class StatsAccumulator:
         t = len(task_ids)
         self._sq = np.zeros(t, dtype=np.float64)
         self._gram = np.zeros((t, t), dtype=np.float64) if want_gram else None
-        self._breakdown: dict[str, list[float]] = {}
         self._missing: dict[str, list[str]] = {}
 
     def add_partial(self, name: str, t: int, diff: np.ndarray) -> None:
-        p = float(np.sum(diff * diff))
-        self._sq[t] += p
-        self._breakdown.setdefault(name, [0.0] * len(self.task_ids))[t] = p
+        self._sq[t] += float(np.sum(diff * diff))
 
     def add_tensor(self, name: str, diffs: dict[int, np.ndarray]) -> None:
         """Fold one tensor's task diffs in. Absent indices contribute zero,
         and are recorded as missing."""
-        self._breakdown.setdefault(name, [0.0] * len(self.task_ids))
         for t in sorted(diffs):
             self.add_partial(name, t, diffs[t])
         if self._gram is not None:
@@ -124,7 +119,6 @@ class StatsAccumulator:
             task_ids=self.task_ids,
             sq_norms=self._sq.tolist(),
             gram=self._gram,
-            per_tensor_breakdown=dict(sorted(self._breakdown.items())),
             missing_names=dict(sorted(self._missing.items())) or None,
         )
 

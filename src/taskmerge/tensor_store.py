@@ -74,9 +74,11 @@ class TensorBuffer:
 class CheckpointHandle:
     """Immutable view of a checkpoint file; payloads are read on demand.
 
-    Safe to share across threads once opened. ``bytes_read`` counts every
-    byte pulled from disk through this handle, which lets tests assert that
-    opening costs O(header), not O(payload).
+    Reads never change the index, so concurrent readers see the same
+    tensors. ``bytes_read`` counts every byte pulled from disk through this
+    handle, which lets tests assert that opening costs O(header), not
+    O(payload). Its ``+=`` is a read-modify-write without a lock, so under
+    concurrent reads from several threads the count can come out low.
     """
 
     path: str

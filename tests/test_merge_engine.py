@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from taskmerge import (
     CoefficientSet,
@@ -23,7 +24,7 @@ from taskmerge import (
 )
 
 from conftest import write_ckpt
-from dense_reference import reference_merge
+from dense_reference import reference_merge, trim_dense
 
 
 def buf(values, name="w"):
@@ -67,6 +68,21 @@ class TestTiesTrim:
         assert len(kept) <= k  # zeros among the top-k stay zero
         if len(dropped) and len(kept):
             assert np.min(np.abs(v[kept])) >= np.max(np.abs(v[dropped])) - 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bytes_match_dense_reference_under_ties(self, data):
+        import math
+
+        # few distinct magnitudes, so many elements tie at the threshold
+        n = data.draw(st.integers(1, 2000))
+        quantized = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+        v = data.draw(hnp.arrays(np.float64, n, elements=quantized))
+        k = data.draw(st.sampled_from([1, max(n - 1, 1), n]) | st.integers(1, n))
+        density = (k - 0.5) / n  # ceil(density * n) == k without rounding doubt
+        assert math.ceil(density * n) == k
+        out = ties_trim(buf(v), density).values
+        assert out.tobytes() == trim_dense(v, density).tobytes()
 
 
 class TestTiesSignElection:
