@@ -70,6 +70,9 @@ class MergeRecipe:
     output_dtype: str = "base"
 
     def validate(self) -> None:
+        for key in ("base", "output"):
+            if not isinstance(getattr(self, key), str):
+                raise RecipeError(f"{key} must be a path string, got {getattr(self, key)!r}")
         if not self.tasks:
             raise RecipeError("recipe needs at least one task")
         ids = [t.id for t in self.tasks]
@@ -79,14 +82,25 @@ class MergeRecipe:
             raise RecipeError(f"unknown method '{self.method}'")
         if self.transform not in TRANSFORMS:
             raise RecipeError(f"unknown transform '{self.transform}'")
+        # bool is an int subclass, but true/false is never a meaningful number
+        for key in ("ties_density", "dare_p", "fixed_lambda"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise RecipeError(f"{key} must be a number, got {value!r}")
         if not 0.0 < self.ties_density <= 1.0:
             raise RecipeError(f"density out of range (0, 1]: {self.ties_density}")
         if not 0.0 <= self.dare_p < 1.0:
             raise RecipeError(f"drop probability out of range [0, 1): {self.dare_p}")
         if not math.isfinite(self.fixed_lambda):
             raise RecipeError("fixed_lambda must be finite")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, int)
+            or not 0 <= self.seed < 2**64
+        ):
             raise RecipeError("seed must be an unsigned 64-bit integer")
+        if not isinstance(self.strict_keys, bool):
+            raise RecipeError(f"strict_keys must be true or false, got {self.strict_keys!r}")
         if self.norm_source not in NORM_SOURCES:
             raise RecipeError(f"unknown norm_source '{self.norm_source}'")
         if self.output_dtype not in OUTPUT_DTYPES:
@@ -247,8 +261,9 @@ def dare_transform(
     if not 0.0 <= p < 1.0:
         raise ValidationError(f"drop probability out of range [0, 1): {p}")
     seed, task_index, tensor_name = stream_key
-    u = uniform_stream(stream_seed(seed, task_index, tensor_name), tv.values.size)
-    out = np.where(u >= p, tv.values / (1.0 - p), 0.0)
+    # the uniforms are freed once compared, before the output is allocated
+    keep = uniform_stream(stream_seed(seed, task_index, tensor_name), tv.values.size) >= p
+    out = np.where(keep, tv.values / (1.0 - p), 0.0)
     return TensorBuffer(tv.name, tv.shape, out)
 
 
@@ -294,26 +309,32 @@ def _compute_pass_stats(
     recipe: MergeRecipe,
     counter: BufferCounter,
 ) -> tuple[TaskVectorStats, TaskVectorStats]:
-    """One streaming pass producing raw and transformed squared norms."""
+    """One streaming pass producing raw and transformed squared norms.
+
+    Without a transform the transformed norms are the raw ones, so they are
+    accumulated once and the same stats are returned for both.
+    """
     task_ids = [t.id for t in recipe.tasks]
     raw = StatsAccumulator(task_ids)
-    transformed = StatsAccumulator(task_ids)
+    transformed = StatsAccumulator(task_ids) if recipe.transform != "none" else None
     for name in sorted(base.index):
         base_buf = read_tensor(base, name)
         counter.acquire()
         for t, model in enumerate(models):
             if name not in model.index:
                 raw.mark_missing(name, t)
-                transformed.mark_missing(name, t)
+                if transformed is not None:
+                    transformed.mark_missing(name, t)
                 continue
             diff = read_tensor(model, name).values - base_buf.values
             counter.acquire()
             raw.add_partial(name, t, diff)
-            tv = _transform_diff(diff, name, t, recipe)
-            transformed.add_partial(name, t, tv)
+            if transformed is not None:
+                transformed.add_partial(name, t, _transform_diff(diff, name, t, recipe))
             counter.release()
         counter.release()
-    return raw.finalize(), transformed.finalize()
+    raw_stats = raw.finalize()
+    return raw_stats, transformed.finalize() if transformed is not None else raw_stats
 
 
 def _select_coefficients(

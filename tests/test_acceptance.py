@@ -305,7 +305,7 @@ def test_c10_determinism(tmp_path):
     blobs, reports = [], []
     for _ in range(2):
         _, rep = run_recipe(recipe)
-        blobs.append(open(tmp_path / "out.st", "rb").read())
+        blobs.append((tmp_path / "out.st").read_bytes())
         reports.append(rep.to_json())
     ok = blobs[0] == blobs[1] and reports[0] == reports[1]
     assert report_line(10, "identical recipe and seed give identical bytes", ok)

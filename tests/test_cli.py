@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ class TestInspect:
 
     def test_truncated_file_exits_2(self, capsys, tmp_path, trio):
         base, *_ = trio
-        raw = open(base, "rb").read()
+        raw = Path(base).read_bytes()
         bad = tmp_path / "bad.st"
         bad.write_bytes(raw[:-8])
         code, _, err = run_cli(capsys, "inspect", str(bad))
@@ -159,6 +160,27 @@ class TestMerge:
         assert code == 1
         assert "density out of range" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ties_density", "0.5"),
+            ("dare_p", "0.1"),
+            ("fixed_lambda", "1"),
+            ("strict_keys", "false"),
+            ("seed", True),
+            ("ties_density", True),
+            ("base", 5),
+            ("output", 7),
+        ],
+    )
+    def test_mistyped_field_exits_1(self, capsys, tmp_path, trio, field, value):
+        recipe, _ = self.write_recipe(tmp_path, trio, **{field: value})
+        code, out, err = run_cli(capsys, "merge", "--recipe", recipe)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "out.st").exists()
+
     def test_missing_model_file_exits_2(self, capsys, tmp_path, trio):
         base, m1, _ = trio
         recipe, _ = self.write_recipe(
@@ -173,7 +195,7 @@ class TestMerge:
         for _ in range(2):
             code, _, _ = run_cli(capsys, "merge", "--recipe", recipe)
             assert code == 0
-            blobs.append(open(out_path, "rb").read())
+            blobs.append(Path(out_path).read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_invalid_json_exits_1(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,7 +289,7 @@ class TestRunRecipe:
                 seed=99,
             )
             _, report = run_recipe(recipe)
-            outputs.append(open(out, "rb").read())
+            outputs.append(Path(out).read_bytes())
             # the echoed recipe differs in the output path, drop it
             d = json.loads(report.to_json())
             d["recipe"].pop("output")

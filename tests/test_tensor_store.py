@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ class TestOpen:
         h = open_checkpoint(p)
         import os
 
-        header_len = int.from_bytes(open(p, "rb").read(8), "little")
+        header_len = int.from_bytes(Path(p).read_bytes()[:8], "little")
         assert h.bytes_read == 8 + header_len
         assert h.bytes_read < os.path.getsize(p) / 4
         read_tensor(h, "big")
@@ -169,7 +170,7 @@ class TestWrite:
         arrays = {"b": np.arange(5.0), "a": np.array([[1.0, 2.0]])}
         p1 = write_ckpt(tmp_path / "one.st", arrays, metadata={"k": "v"})
         p2 = write_ckpt(tmp_path / "two.st", arrays, metadata={"k": "v"})
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_metadata_roundtrip(self, tmp_path):
         p = write_ckpt(tmp_path / "c.st", {"a": np.zeros(1)}, metadata={"origin": "test"})
