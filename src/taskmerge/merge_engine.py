@@ -255,15 +255,22 @@ def dare_transform(
     """Drop elements with probability p, rescale survivors by 1/(1-p).
 
     Element e is kept iff u_e >= p, where u_e is the e-th uniform of a
-    SplitMix64 stream keyed by (seed, task_index, tensor_name). p = 0 is a
-    bit-exact identity; the output is unbiased in expectation.
+    SplitMix64 stream keyed by (seed, task_index, tensor_name); dropped
+    elements are +0.0. p = 0 keeps every element and is a bit-exact identity,
+    so it returns *tv* without drawing the stream. The output is unbiased in
+    expectation.
     """
     if not 0.0 <= p < 1.0:
         raise ValidationError(f"drop probability out of range [0, 1): {p}")
+    if p == 0.0:
+        return tv
     seed, task_index, tensor_name = stream_key
     # the uniforms are freed once compared, before the output is allocated
-    keep = uniform_stream(stream_seed(seed, task_index, tensor_name), tv.values.size) >= p
-    out = np.where(keep, tv.values / (1.0 - p), 0.0)
+    drop = uniform_stream(stream_seed(seed, task_index, tensor_name), tv.values.size) < p
+    out = tv.values / (1.0 - p)
+    # putmask, not out[drop] = 0.0: the boolean-index assignment is about a
+    # third slower on masks this dense, enough to show in a DARE merge
+    np.putmask(out, drop, 0.0)
     return TensorBuffer(tv.name, tv.shape, out)
 
 
@@ -326,7 +333,8 @@ def _compute_pass_stats(
                 if transformed is not None:
                     transformed.mark_missing(name, t)
                 continue
-            diff = read_tensor(model, name).values - base_buf.values
+            diff = read_tensor(model, name).values
+            diff -= base_buf.values
             counter.acquire()
             raw.add_partial(name, t, diff)
             if transformed is not None:
@@ -367,7 +375,8 @@ def _merge_one_ties(
         if name not in model.index:
             trimmed.append(None)
             continue
-        diff = read_tensor(model, name).values - base_vals
+        diff = read_tensor(model, name).values
+        diff -= base_vals
         counter.acquire()
         trimmed.append(_transform_diff(diff, name, t, recipe))
     present = [(lam, v) for lam, v in zip(lambdas, trimmed) if v is not None]
@@ -401,7 +410,8 @@ def _merge_one_plain(
     for t, model in enumerate(models):
         if name not in model.index:
             continue
-        diff = read_tensor(model, name).values - base_vals
+        diff = read_tensor(model, name).values
+        diff -= base_vals
         counter.acquire()
         tv = _transform_diff(diff, name, t, recipe)
         tv *= lambdas[t]

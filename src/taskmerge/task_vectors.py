@@ -155,16 +155,17 @@ def compute_stats(
     for name in sorted(base.index):
         base_buf = read_tensor(base, name)
         if want_gram:
-            diffs = {
-                t: read_tensor(m, name).values - base_buf.values
-                for t, m in enumerate(models)
-                if name in m.index
-            }
+            diffs = {}
+            for t, model in enumerate(models):
+                if name in model.index:
+                    diffs[t] = read_tensor(model, name).values
+                    diffs[t] -= base_buf.values
             acc.add_tensor(name, diffs)
         else:
             for t, model in enumerate(models):
                 if name in model.index:
-                    d = read_tensor(model, name).values - base_buf.values
+                    d = read_tensor(model, name).values
+                    d -= base_buf.values
                     acc.add_partial(name, t, d)
                 else:
                     acc.mark_missing(name, t)

@@ -10,6 +10,14 @@ files.
 Tensors are decoded to flat float64 arrays; the storage dtype is metadata.
 Non-finite values are rejected on both read and write: a silent NaN in a
 checkpoint corrupts every model merged from it.
+
+The codec works through a tensor in chunks of ``_CHUNK`` elements. Decoding
+fills one float64 result from views of the raw bytes; encoding narrows into
+one result of the storage dtype, which the writer writes without a copy.
+Scratch arrays hold one chunk, so no full-size temporary is made. A value is
+inf or NaN exactly when its exponent bits are all ones, so the read check
+runs on the stored bits before any cast (a signaling NaN never reaches a
+float cast), and the overflow check on the narrowed bits.
 """
 
 from __future__ import annotations
@@ -26,6 +34,19 @@ DTYPE_SIZES = {"F32": 4, "F16": 2, "BF16": 2}
 
 _HEADER_LEN_BYTES = 8
 _MAX_HEADER_LEN = 1 << 31
+
+# The codec works in chunks of this many elements, so its scratch arrays stay
+# in cache and no full-size temporary is made besides the result.
+_CHUNK = 2**16
+
+# dtype -> (storage dtype, unsigned dtype of its width, exponent bits). The
+# exponent bits are all ones exactly for inf and NaN. Header parsing and the
+# writer reject any other dtype before the codec sees it.
+_LAYOUT = {
+    "F32": ("<f4", "<u4", 0x7F800000),
+    "F16": ("<f2", "<u2", 0x7C00),
+    "BF16": ("<u2", "<u2", 0x7F80),
+}
 
 
 @dataclass(frozen=True)
@@ -96,38 +117,62 @@ class CheckpointHandle:
         return sorted(self.index)
 
 
-def _decode(raw: bytes, dtype: str) -> np.ndarray:
-    if dtype == "F32":
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    if dtype == "F16":
-        return np.frombuffer(raw, dtype="<f2").astype(np.float64)
-    if dtype == "BF16":
-        bits = np.frombuffer(raw, dtype="<u2").astype(np.uint32) << np.uint32(16)
-        return bits.view(np.float32).astype(np.float64)
-    raise FormatError(f"unsupported dtype '{dtype}'")
+def _any_nonfinite(bits: np.ndarray, exponent: int, scratch: np.ndarray) -> bool:
+    """True if some element of *bits* has every exponent bit set (inf or NaN).
+
+    A masked value never exceeds the mask, so the maximum equals the mask
+    exactly when some element has all of its bits.
+    """
+    return np.bitwise_and(bits, exponent, out=scratch[: bits.size]).max() == exponent
 
 
-def _encode(values: np.ndarray, dtype: str, name: str) -> bytes:
-    with np.errstate(over="ignore"):
-        if dtype == "F32":
-            narrowed = values.astype(np.float32)
-            out = narrowed.astype("<f4")
-        elif dtype == "F16":
-            narrowed = values.astype(np.float16)
-            out = narrowed.astype("<f2")
-        elif dtype == "BF16":
-            f32 = values.astype(np.float32)
-            u32 = f32.view(np.uint32)
-            # round to nearest even on the upper 16 bits
-            bias = np.uint32(0x7FFF) + ((u32 >> np.uint32(16)) & np.uint32(1))
-            u16 = ((u32 + bias) >> np.uint32(16)).astype(np.uint16)
-            narrowed = (u16.astype(np.uint32) << np.uint32(16)).view(np.float32)
-            out = u16.astype("<u2")
+def _decode(raw: bytes, dtype: str, path: str, name: str) -> np.ndarray:
+    """Widen stored values to a new float64 array, one chunk at a time."""
+    storage, unsigned, exponent = _LAYOUT[dtype]
+    bits = np.frombuffer(raw, dtype=unsigned)
+    stored = bits.view(storage)
+    out = np.empty(bits.size, dtype=np.float64)
+    mask = np.empty(min(bits.size, _CHUNK), dtype=unsigned)
+    wide = np.empty(mask.size, dtype=np.uint32) if dtype == "BF16" else None
+    for lo in range(0, bits.size, _CHUNK):
+        hi = min(lo + _CHUNK, bits.size)
+        if _any_nonfinite(bits[lo:hi], exponent, mask):
+            raise ValidationError(f"{path}: non-finite value in '{name}'")
+        if wide is None:
+            out[lo:hi] = stored[lo:hi]
         else:
-            raise FormatError(f"unsupported dtype '{dtype}'")
-    if not np.isfinite(narrowed).all():
-        raise ValidationError(f"tensor '{name}': overflow for dtype {dtype}")
-    return out.tobytes()
+            w = wide[: hi - lo]
+            np.left_shift(bits[lo:hi], 16, out=w, dtype=np.uint32)
+            out[lo:hi] = w.view(np.float32)
+    return out
+
+
+def _encode(values: np.ndarray, dtype: str, name: str) -> np.ndarray:
+    """Narrow float64 *values* to a new array of the storage dtype, one chunk
+    at a time. BF16 rounds the float32 value to nearest even."""
+    storage, unsigned, exponent = _LAYOUT[dtype]
+    out = np.empty(values.size, dtype=storage)
+    bits = out.view(unsigned)
+    mask = np.empty(min(values.size, _CHUNK), dtype=unsigned)
+    wide = np.empty(mask.size, dtype=np.uint32) if dtype == "BF16" else None
+    for lo in range(0, values.size, _CHUNK):
+        hi = min(lo + _CHUNK, values.size)
+        with np.errstate(over="ignore"):
+            if wide is None:
+                out[lo:hi] = values[lo:hi]
+            else:
+                w, top = wide[: hi - lo], bits[lo:hi]
+                w.view(np.float32)[...] = values[lo:hi]
+                # add 0x7FFF plus the lowest kept bit, then keep the upper 16
+                np.right_shift(w, 16, out=top, casting="unsafe")
+                top &= 1
+                w += top
+                w += 0x7FFF
+                w >>= 16
+                top[...] = w
+        if _any_nonfinite(bits[lo:hi], exponent, mask):
+            raise ValidationError(f"tensor '{name}': overflow for dtype {dtype}")
+    return out
 
 
 def _parse_header(raw: bytes, path: str) -> tuple[dict[str, TensorMeta], dict | None]:
@@ -232,9 +277,7 @@ def read_tensor(handle: CheckpointHandle, name: str) -> TensorBuffer:
     if len(raw) != meta.num_bytes:
         raise FormatError(f"{handle.path}: truncated payload for '{name}'")
     handle.bytes_read += len(raw)
-    values = _decode(raw, meta.dtype)
-    if not np.isfinite(values).all():
-        raise ValidationError(f"{handle.path}: non-finite value in '{name}'")
+    values = _decode(raw, meta.dtype, handle.path, name)
     return TensorBuffer(name=name, shape=meta.shape, values=values)
 
 
@@ -312,7 +355,7 @@ class CheckpointWriter:
         except Exception:
             self.abort()
             raise
-        self._file.write(encoded)
+        self._file.write(memoryview(encoded).cast("B"))
         self._next += 1
 
     def close(self) -> None:

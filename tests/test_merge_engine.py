@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from taskmerge import merge_engine
 from taskmerge import (
     CoefficientSet,
     MergeRecipe,
@@ -457,6 +458,34 @@ class TestRunRecipe:
         )
         handle, _ = run_recipe(recipe)
         assert handle.metadata == {"family": "demo"}
+
+    def test_dare_p_zero_draws_nothing(self, tmp_path, monkeypatch):
+        draws = []
+        real_stream = merge_engine.uniform_stream
+
+        def counting_stream(seed, count, offset=0):
+            draws.append(count)
+            return real_stream(seed, count, offset)
+
+        monkeypatch.setattr(merge_engine, "uniform_stream", counting_stream)
+        base_p, model_ps = family(
+            tmp_path,
+            {"w": np.array([0.5, -1.0, 2.0, 0.0])},
+            [{"w": np.array([0.1, -0.2, 0.3, -0.4])}],
+        )
+        merged = {}
+        for transform, p in (("dare", 0.0), ("none", 0.0), ("dare", 0.5)):
+            out = str(tmp_path / f"{transform}-{p}.st")
+            recipe = MergeRecipe(
+                base=base_p, tasks=[TaskSpec("a", model_ps[0])], output=out,
+                transform=transform, dare_p=p,
+            )
+            run_recipe(recipe)
+            merged[transform, p] = Path(out).read_bytes()
+            if p == 0.0:
+                assert draws == []
+        assert merged["dare", 0.0] == merged["none", 0.0]
+        assert sum(draws) == 8  # the wrapper does see the draws of p > 0
 
     def test_norm_source_changes_dare_coefficients(self, tmp_path):
         rng = np.random.default_rng(12)

@@ -1,5 +1,7 @@
 import json
+import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +20,73 @@ from taskmerge import (
     write_checkpoint,
 )
 
+from taskmerge.tensor_store import _CHUNK
+
 from conftest import write_ckpt
+from dense_reference import read_checkpoint_dense
 
 
 def raw_file(path, header, payload=b""):
     encoded = json.dumps(header).encode("utf-8")
     path.write_bytes(len(encoded).to_bytes(8, "little") + encoded + payload)
     return str(path)
+
+
+def one_tensor_file(path, dtype, bits):
+    """A container holding *bits* (stored patterns) as tensor 'a'."""
+    payload = bits.tobytes()
+    header = {"a": {"dtype": dtype, "shape": [bits.size], "data_offsets": [0, len(payload)]}}
+    return raw_file(path, header, payload)
+
+
+# dtype -> (unsigned storage dtype, exponent bits, lowest exponent bit)
+STORED_BITS = {
+    "F32": ("<u4", 0x7F800000, 0x00800000),
+    "F16": ("<u2", 0x7C00, 0x0400),
+    "BF16": ("<u2", 0x7F80, 0x0080),
+}
+
+# quiet NaN, signaling NaN and both infinities, as stored bits
+NONFINITE_BITS = {
+    "F32": {"qnan": 0x7FC00000, "snan": 0x7F800001, "+inf": 0x7F800000, "-inf": 0xFF800000},
+    "F16": {"qnan": 0x7E00, "snan": 0x7C01, "+inf": 0x7C00, "-inf": 0xFC00},
+    "BF16": {"qnan": 0x7FC0, "snan": 0x7F81, "+inf": 0x7F80, "-inf": 0xFF80},
+}
+
+
+def _bf16_edge(bits32):
+    """float32 value *bits32* plus half its ulp: the tie between it and the
+    next float32, exact in float64."""
+    return float(np.array(bits32, dtype=np.uint32).view(np.float32)) + 2.0**103
+
+
+# dtype -> (largest magnitude that narrows to a finite value, smallest that
+# overflows). Both sides are finite float64 values below the float32 maximum
+# for BF16, so only rounding decides the overflow.
+OVERFLOW_EDGES = {
+    "F32": (
+        np.nextafter(float(np.finfo(np.float32).max) + 2.0**103, 0.0),
+        float(np.finfo(np.float32).max) + 2.0**103,
+    ),
+    "F16": (np.nextafter(65520.0, 0.0), 65520.0),
+    "BF16": (np.nextafter(_bf16_edge(0x7F7F7FFF), 0.0), _bf16_edge(0x7F7F7FFF)),
+}
+
+CODEC_SIZES = st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]) | st.integers(0, 300)
+
+
+def reference_encoding(values, dtype):
+    """(payload bytes, whether every narrowed value is finite), from plain
+    whole-array numpy casts."""
+    with np.errstate(over="ignore"):
+        if dtype in ("F32", "F16"):
+            narrowed = np.asarray(values, "<f4" if dtype == "F32" else "<f2")
+            return narrowed.tobytes(), bool(np.isfinite(narrowed).all())
+        u32 = values.astype(np.float32).view(np.uint32)
+        bias = np.uint32(0x7FFF) + ((u32 >> np.uint32(16)) & np.uint32(1))
+        u16 = ((u32 + bias) >> np.uint32(16)).astype("<u2")
+        widened = (u16.astype(np.uint32) << np.uint32(16)).view(np.float32)
+        return u16.tobytes(), bool(np.isfinite(widened).all())
 
 
 class TestOpen:
@@ -134,14 +196,44 @@ class TestReadDecode:
         )
         assert read_tensor(open_checkpoint(p), "a").values.tolist() == [1.0]
 
-    def test_nonfinite_rejected(self, tmp_path):
-        p = raw_file(
-            tmp_path / "t.st",
-            {"a": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]}},
-            struct.pack("<f", float("nan")),
-        )
+    @pytest.mark.parametrize("kind", ["qnan", "snan", "+inf", "-inf"])
+    @pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
+    def test_nonfinite_rejected(self, tmp_path, dtype, kind):
+        # a typed error, with no cast warning on the way (pytest.ini_options
+        # turns RuntimeWarning into an error)
+        unsigned = STORED_BITS[dtype][0]
+        bits = np.array([0, NONFINITE_BITS[dtype][kind]], dtype=unsigned)
+        p = one_tensor_file(tmp_path / "t.st", dtype, bits)
         with pytest.raises(ValidationError, match="non-finite"):
             read_tensor(open_checkpoint(p), "a")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from(sorted(STORED_BITS)),
+        n=CODEC_SIZES,
+        seed=st.integers(0, 2**32 - 1),
+        clean=st.booleans(),
+        poison=st.none() | st.integers(0, 2**31),
+    )
+    def test_decode_matches_dense_reference(self, dtype, n, seed, clean, poison):
+        unsigned, exponent, low_bit = STORED_BITS[dtype]
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2 ** (8 * np.dtype(unsigned).itemsize), n, dtype=np.uint64)
+        bits = bits.astype(unsigned)
+        if clean:  # clear one exponent bit of every inf and NaN
+            bits[(bits & exponent) == exponent] ^= low_bit
+        if poison is not None and n:
+            bits[poison % n] |= exponent
+        with tempfile.TemporaryDirectory() as d:
+            p = one_tensor_file(Path(d) / "c.st", dtype, bits)
+            with np.errstate(invalid="ignore"):
+                dense = read_checkpoint_dense(p)["a"]
+            if np.isfinite(dense).all():
+                got = read_tensor(open_checkpoint(p), "a").values
+                assert got.tobytes() == dense.tobytes()
+            else:
+                with pytest.raises(ValidationError, match="non-finite"):
+                    read_tensor(open_checkpoint(p), "a")
 
     def test_unknown_name(self, tmp_path):
         p = write_ckpt(tmp_path / "c.st", {"a": np.zeros(2)})
@@ -214,6 +306,50 @@ class TestWrite:
             write_checkpoint(p, [(TensorBuffer("a", (len(values),), arr), "F32")])
             got = read_tensor(open_checkpoint(p), "a").values
         np.testing.assert_array_equal(got, arr)
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("dtype", sorted(OVERFLOW_EDGES))
+    def test_overflow_decided_by_rounding(self, tmp_path, dtype, side):
+        below, above = OVERFLOW_EDGES[dtype]
+        values = np.array([1.0, -(below if side == "below" else above)])
+        path = str(tmp_path / "c.st")
+        if side == "below":
+            write_checkpoint(path, [(TensorBuffer("a", (2,), values), dtype)])
+            assert np.isfinite(read_tensor(open_checkpoint(path), "a").values).all()
+        else:
+            with pytest.raises(ValidationError, match="overflow for dtype"):
+                write_checkpoint(path, [(TensorBuffer("a", (2,), values), dtype)])
+            assert not os.path.exists(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from(sorted(OVERFLOW_EDGES)),
+        n=CODEC_SIZES,
+        seed=st.integers(0, 2**32 - 1),
+        edge=st.none() | st.tuples(st.sampled_from([0, 1]), st.integers(0, 2**31)),
+    )
+    def test_encode_matches_reference_casts(self, dtype, n, seed, edge):
+        below, above = OVERFLOW_EDGES[dtype]
+        rng = np.random.default_rng(seed)
+        # magnitudes from far below the smallest subnormal up to the edge
+        lowest = -9.0 if dtype == "F16" else -47.0
+        mags = np.minimum(10.0 ** rng.uniform(lowest, np.log10(below), n), below)
+        mags[rng.random(n) < 0.02] = 0.0
+        values = np.where(rng.random(n) < 0.5, -mags, mags)
+        if edge is not None and n:
+            values[edge[1] % n] = (below, above)[edge[0]]
+        expected, finite = reference_encoding(values, dtype)
+        with tempfile.TemporaryDirectory() as d:
+            p = os.path.join(d, "c.st")
+            tensors = [(TensorBuffer("a", (n,), values), dtype)]
+            if finite:
+                write_checkpoint(p, tensors)
+                data = Path(p).read_bytes()
+                assert data[8 + int.from_bytes(data[:8], "little") :] == expected
+            else:
+                with pytest.raises(ValidationError, match="overflow for dtype"):
+                    write_checkpoint(p, tensors)
+                assert not os.path.exists(p)
 
 
 class TestWriterStreaming:
