@@ -22,8 +22,6 @@ from .merge_engine import (
     dare_transform,
     run_recipe,
     task_arithmetic_merge,
-    ties_disjoint_merge,
-    ties_elect_sign,
     ties_trim,
 )
 from .task_vectors import (
@@ -32,7 +30,6 @@ from .task_vectors import (
     compute_stats,
     cosine_matrix,
     stats_from_arrays,
-    task_vector_tensor,
 )
 from .tensor_store import (
     CheckpointHandle,
@@ -75,9 +72,6 @@ __all__ = [
     "run_recipe",
     "stats_from_arrays",
     "task_arithmetic_merge",
-    "task_vector_tensor",
-    "ties_disjoint_merge",
-    "ties_elect_sign",
     "ties_trim",
     "validate_compatibility",
     "weight_average_coefficients",

@@ -12,11 +12,7 @@ import json
 import sys
 
 from . import jsonutil, theory_lab
-from .coefficients import (
-    fixed_coefficients,
-    metagpt_coefficients,
-    weight_average_coefficients,
-)
+from .coefficients import COEFFICIENT_METHODS
 from .errors import FormatError, RecipeError, ValidationError
 from .merge_engine import MergeRecipe, run_recipe
 from .task_vectors import TaskVectorStats, compute_stats
@@ -26,6 +22,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VIOLATION = 3
+
+# the CLI's --method spellings -> the method names of recipes
+_CLI_METHODS = {
+    "metagpt": "metagpt",
+    "fixed": "task_arithmetic_fixed",
+    "weight-average": "weight_average",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,8 +58,7 @@ def _build_parser() -> _Parser:
                    help="base checkpoint followed by fine-tuned models")
     p.add_argument("--stats", dest="stats_file",
                    help="use a stats JSON report instead of checkpoints")
-    p.add_argument("--method", choices=("metagpt", "fixed", "weight-average"),
-                   default="metagpt")
+    p.add_argument("--method", choices=tuple(_CLI_METHODS), default="metagpt")
     p.add_argument("--lambda", dest="fixed_lambda", type=float, default=0.3,
                    help="coefficient value for --method fixed")
     p.add_argument("--strict", action="store_true")
@@ -130,12 +132,7 @@ def cmd_coeffs(args) -> int:
         models = [open_checkpoint(p) for p in args.paths[1:]]
         stats = compute_stats(base, models, strict=args.strict)
 
-    if args.method == "metagpt":
-        coeffs = metagpt_coefficients(stats)
-    elif args.method == "fixed":
-        coeffs = fixed_coefficients(stats.task_ids, args.fixed_lambda)
-    else:
-        coeffs = weight_average_coefficients(stats.task_ids)
+    coeffs = COEFFICIENT_METHODS[_CLI_METHODS[args.method]](stats, args.fixed_lambda)
     print(coeffs.to_json(indent=2))
     return EXIT_OK
 

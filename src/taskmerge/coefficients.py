@@ -13,6 +13,7 @@ conventional lambda = 0.3, and 1/T averaging) are provided for comparison.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import jsonutil
@@ -97,6 +98,16 @@ def weight_average_coefficients(task_ids: list[str]) -> CoefficientSet:
         raise ValidationError("no tasks")
     t = len(task_ids)
     return CoefficientSet(list(task_ids), [1.0 / t] * t, "weight_average")
+
+
+# Recipe method name -> coefficient function of (task statistics, fixed
+# lambda). The CoefficientSet labels in METHODS differ ("fixed" is
+# "task_arithmetic_fixed" here) and stay as they are: reports carry them.
+COEFFICIENT_METHODS: dict[str, Callable[[TaskVectorStats, float], CoefficientSet]] = {
+    "weight_average": lambda stats, value: weight_average_coefficients(stats.task_ids),
+    "task_arithmetic_fixed": lambda stats, value: fixed_coefficients(stats.task_ids, value),
+    "metagpt": lambda stats, value: metagpt_coefficients(stats),
+}
 
 
 def coefficients_from_dict(data: dict) -> CoefficientSet:

@@ -8,9 +8,13 @@ sorted order:
   2. combine: out[name] = base[name] + sum_t lambda_t * tv_t[name], where
      TIES replaces the plain sum with sign election + disjoint merge.
 
-Coefficients come from the configured method between the passes. Peak
-memory is bounded by T + 2 single-tensor buffers (base, the per-task
-vectors for one name, one accumulator), never by total model size.
+Coefficients come from the configured method between the passes. The
+engine counts the single-tensor buffers it holds (base, the per-task
+vectors for one name, one accumulator) and reports the peak of that count
+as ``peak_live_buffers <= T + 2``; memory never grows with total model
+size. The count leaves out the temporaries of decoding, reduction and the
+transforms, so traced peaks run higher: about 8.25 float64 single-tensor
+buffers for T = 4 with TIES, and about 3.5 for T = 1 with no transform.
 Everything is deterministic: re-running a recipe with the same seed
 produces byte-identical output files and reports.
 """
@@ -24,15 +28,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import jsonutil
-from .coefficients import (
-    CoefficientSet,
-    fixed_coefficients,
-    metagpt_coefficients,
-    weight_average_coefficients,
-)
+from .coefficients import COEFFICIENT_METHODS, CoefficientSet
 from .errors import RecipeError, ValidationError
 from .rng import stream_seed, uniform_stream
-from .task_vectors import StatsAccumulator, TaskVectorStats
+from .task_vectors import StatsAccumulator, TaskVectorStats, task_diffs
 from .tensor_store import (
     CheckpointHandle,
     CheckpointWriter,
@@ -42,7 +41,7 @@ from .tensor_store import (
     validate_compatibility,
 )
 
-METHODS = ("weight_average", "task_arithmetic_fixed", "metagpt")
+METHODS = tuple(COEFFICIENT_METHODS)
 TRANSFORMS = ("none", "ties", "dare")
 NORM_SOURCES = ("raw", "transformed")
 OUTPUT_DTYPES = ("base", "F32")
@@ -226,29 +225,6 @@ def ties_trim(tv: TensorBuffer, density: float) -> TensorBuffer:
     return TensorBuffer(tv.name, tv.shape, np.where(keep, v, 0.0))
 
 
-def ties_elect_sign(trimmed: list[TensorBuffer], coeffs: CoefficientSet) -> np.ndarray:
-    """Per-element sign of the coefficient-weighted sum; exact zero sum -> 0."""
-    if len(trimmed) != coeffs.num_tasks:
-        raise ValidationError("one trimmed vector per coefficient required")
-    acc = np.zeros_like(trimmed[0].values)
-    for lam, buf in zip(coeffs.lambdas, trimmed):
-        acc += lam * buf.values
-    return np.sign(acc)
-
-
-def ties_disjoint_merge(
-    trimmed: list[TensorBuffer], signs: np.ndarray, coeffs: CoefficientSet
-) -> TensorBuffer:
-    """Sum lambda_t * v_t over tasks whose element sign matches the elected
-    sign; elements with elected sign 0 output 0."""
-    first = trimmed[0]
-    acc = np.zeros_like(first.values)
-    for lam, buf in zip(coeffs.lambdas, trimmed):
-        match = (np.sign(buf.values) == signs) & (signs != 0.0)
-        acc += np.where(match, lam * buf.values, 0.0)
-    return TensorBuffer(first.name, first.shape, acc)
-
-
 def dare_transform(
     tv: TensorBuffer, p: float, stream_key: tuple[int, int, str]
 ) -> TensorBuffer:
@@ -327,34 +303,15 @@ def _compute_pass_stats(
     for name in sorted(base.index):
         base_buf = read_tensor(base, name)
         counter.acquire()
-        for t, model in enumerate(models):
-            if name not in model.index:
-                raw.mark_missing(name, t)
-                if transformed is not None:
-                    transformed.mark_missing(name, t)
-                continue
-            diff = read_tensor(model, name).values
-            diff -= base_buf.values
+        for t, diff in task_diffs(name, base_buf.values, models):
             counter.acquire()
-            raw.add_partial(name, t, diff)
+            raw.add_partial(t, diff)
             if transformed is not None:
-                transformed.add_partial(name, t, _transform_diff(diff, name, t, recipe))
+                transformed.add_partial(t, _transform_diff(diff, name, t, recipe))
             counter.release()
         counter.release()
     raw_stats = raw.finalize()
     return raw_stats, transformed.finalize() if transformed is not None else raw_stats
-
-
-def _select_coefficients(
-    recipe: MergeRecipe, raw: TaskVectorStats, transformed: TaskVectorStats
-) -> CoefficientSet:
-    task_ids = [t.id for t in recipe.tasks]
-    if recipe.method == "weight_average":
-        return weight_average_coefficients(task_ids)
-    if recipe.method == "task_arithmetic_fixed":
-        return fixed_coefficients(task_ids, recipe.fixed_lambda)
-    stats = transformed if recipe.norm_source == "transformed" else raw
-    return metagpt_coefficients(stats)
 
 
 def _merge_one_ties(
@@ -368,18 +325,12 @@ def _merge_one_ties(
     """Sign-elect + disjoint-merge combine, accumulated onto the base values.
 
     All trimmed task vectors for this tensor are live at once (the election
-    needs them), so the peak here is T + 2 buffers: base, T vectors, signs.
+    needs them), so the count here is T + 2 buffers: base, T vectors, signs.
     """
-    trimmed: list[np.ndarray | None] = []
-    for t, model in enumerate(models):
-        if name not in model.index:
-            trimmed.append(None)
-            continue
-        diff = read_tensor(model, name).values
-        diff -= base_vals
+    present = []
+    for t, diff in task_diffs(name, base_vals, models):
         counter.acquire()
-        trimmed.append(_transform_diff(diff, name, t, recipe))
-    present = [(lam, v) for lam, v in zip(lambdas, trimmed) if v is not None]
+        present.append((lambdas[t], _transform_diff(diff, name, t, recipe)))
     if present:
         signs = np.zeros_like(base_vals)
         counter.acquire()
@@ -407,11 +358,7 @@ def _merge_one_plain(
     """Plain scaled sum; task vectors are consumed one at a time."""
     acc = base_vals.copy()
     counter.acquire()
-    for t, model in enumerate(models):
-        if name not in model.index:
-            continue
-        diff = read_tensor(model, name).values
-        diff -= base_vals
+    for t, diff in task_diffs(name, base_vals, models):
         counter.acquire()
         tv = _transform_diff(diff, name, t, recipe)
         tv *= lambdas[t]
@@ -468,26 +415,16 @@ def run_recipe(
         raise ValidationError("coefficient count does not match task count")
 
     report = validate_compatibility([base] + models)
-    if report.shape_mismatch:
-        raise ValidationError(f"shape mismatch on: {sorted(report.shape_mismatch)}")
-    if recipe.strict_keys and not report.clean:
-        problems = sorted(set(report.missing) | set(report.dtype_mismatch))
-        raise ValidationError(f"checkpoints are not key-compatible: {problems}")
+    report.require(recipe.strict_keys)
     # names present in some model but absent from the base cannot be merged
     skipped = sorted(n for n, absent in report.missing.items() if base.path in absent)
-    missing_from_tasks = {
-        n: [m.path for m in models if m.path in absent]
-        for n, absent in report.missing.items()
-        if base.path not in absent
-    }
 
     counter = BufferCounter()
     raw_stats, transformed_stats = _compute_pass_stats(base, models, recipe, counter)
-    coeffs = (
-        coeffs_override
-        if coeffs_override is not None
-        else _select_coefficients(recipe, raw_stats, transformed_stats)
-    )
+    coeffs = coeffs_override
+    if coeffs is None:
+        stats = transformed_stats if recipe.norm_source == "transformed" else raw_stats
+        coeffs = COEFFICIENT_METHODS[recipe.method](stats, recipe.fixed_lambda)
     _merge_pass(base, models, recipe, coeffs, counter)
 
     merge_report = MergeReport(
@@ -499,10 +436,7 @@ def run_recipe(
         ),
         tensor_count=len(base.index),
         skipped_names=skipped,
-        missing_names={
-            n: [t.id for t, m in zip(recipe.tasks, models) if m.path in paths]
-            for n, paths in missing_from_tasks.items()
-        },
+        missing_names=report.missing_from(base, models, [t.id for t in recipe.tasks]),
         peak_live_buffers=counter.peak,
         wall_time_s=time.perf_counter() - t0,
     )

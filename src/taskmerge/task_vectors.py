@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jsonutil
 from .errors import ValidationError
-from .tensor_store import CheckpointHandle, TensorBuffer, read_tensor, validate_compatibility
+from .tensor_store import CheckpointHandle, read_tensor, validate_compatibility
 
 
 @dataclass
@@ -58,15 +59,20 @@ class CosineMatrix:
     values: np.ndarray
 
 
-def task_vector_tensor(fine: TensorBuffer, base: TensorBuffer) -> TensorBuffer:
-    """Element-wise fine - base for one tensor."""
-    if fine.name != base.name:
-        raise ValidationError(f"name mismatch: '{fine.name}' vs '{base.name}'")
-    if fine.shape != base.shape:
-        raise ValidationError(
-            f"tensor '{fine.name}': shape {list(fine.shape)} vs {list(base.shape)}"
-        )
-    return TensorBuffer(fine.name, fine.shape, fine.values - base.values)
+def task_diffs(
+    name: str, base_values: np.ndarray, models: list[CheckpointHandle]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (t, model_t[name] - base) for each model that holds *name*.
+
+    Each diff is taken in place on its freshly decoded array, and the next
+    model is read only when the caller asks for it, so one diff at a time is
+    made; a model lacking the name is skipped (it contributes zero).
+    """
+    for t, model in enumerate(models):
+        if name in model.index:
+            diff = read_tensor(model, name).values
+            diff -= base_values
+            yield t, diff
 
 
 class StatsAccumulator:
@@ -86,16 +92,14 @@ class StatsAccumulator:
         t = len(task_ids)
         self._sq = np.zeros(t, dtype=np.float64)
         self._gram = np.zeros((t, t), dtype=np.float64) if want_gram else None
-        self._missing: dict[str, list[str]] = {}
 
-    def add_partial(self, name: str, t: int, diff: np.ndarray) -> None:
+    def add_partial(self, t: int, diff: np.ndarray) -> None:
         self._sq[t] += float(np.sum(diff * diff))
 
-    def add_tensor(self, name: str, diffs: dict[int, np.ndarray]) -> None:
-        """Fold one tensor's task diffs in. Absent indices contribute zero,
-        and are recorded as missing."""
+    def add_tensor(self, diffs: dict[int, np.ndarray]) -> None:
+        """Fold one tensor's task diffs in. Absent indices contribute zero."""
         for t in sorted(diffs):
-            self.add_partial(name, t, diffs[t])
+            self.add_partial(t, diffs[t])
         if self._gram is not None:
             idx = sorted(diffs)
             for a, i in enumerate(idx):
@@ -103,12 +107,6 @@ class StatsAccumulator:
                     p = float(np.sum(diffs[i] * diffs[j]))
                     self._gram[i, j] += p
                     self._gram[j, i] += p
-        for t, tid in enumerate(self.task_ids):
-            if t not in diffs:
-                self.mark_missing(name, t)
-
-    def mark_missing(self, name: str, t: int) -> None:
-        self._missing.setdefault(name, []).append(self.task_ids[t])
 
     def finalize(self) -> TaskVectorStats:
         if self._gram is not None:
@@ -119,7 +117,6 @@ class StatsAccumulator:
             task_ids=self.task_ids,
             sq_norms=self._sq.tolist(),
             gram=self._gram,
-            missing_names=dict(sorted(self._missing.items())) or None,
         )
 
 
@@ -145,31 +142,19 @@ def compute_stats(
         raise ValidationError("task_ids and models length mismatch")
 
     report = validate_compatibility([base] + models)
-    if report.shape_mismatch:
-        raise ValidationError(f"shape mismatch on: {sorted(report.shape_mismatch)}")
-    if strict and not report.clean:
-        problems = sorted(set(report.missing) | set(report.dtype_mismatch))
-        raise ValidationError(f"checkpoints are not key-compatible: {problems}")
+    report.require(strict)
 
     acc = StatsAccumulator(task_ids, want_gram)
     for name in sorted(base.index):
-        base_buf = read_tensor(base, name)
+        diffs = task_diffs(name, read_tensor(base, name).values, models)
         if want_gram:
-            diffs = {}
-            for t, model in enumerate(models):
-                if name in model.index:
-                    diffs[t] = read_tensor(model, name).values
-                    diffs[t] -= base_buf.values
-            acc.add_tensor(name, diffs)
+            acc.add_tensor(dict(diffs))
         else:
-            for t, model in enumerate(models):
-                if name in model.index:
-                    d = read_tensor(model, name).values
-                    d -= base_buf.values
-                    acc.add_partial(name, t, d)
-                else:
-                    acc.mark_missing(name, t)
-    return acc.finalize()
+            for t, diff in diffs:
+                acc.add_partial(t, diff)
+    stats = acc.finalize()
+    stats.missing_names = report.missing_from(base, models, task_ids) or None
+    return stats
 
 
 def stats_from_arrays(
@@ -178,7 +163,7 @@ def stats_from_arrays(
     """Statistics of in-memory task vectors (one flat array per task)."""
     acc = StatsAccumulator(task_ids, want_gram)
     acc.add_tensor(
-        "__flat__", {t: np.asarray(v, dtype=np.float64).reshape(-1) for t, v in enumerate(vectors)}
+        {t: np.asarray(v, dtype=np.float64).reshape(-1) for t, v in enumerate(vectors)}
     )
     return acc.finalize()
 

@@ -326,8 +326,10 @@ class CheckpointWriter:
             self._specs[name] = (tuple(shape), dtype)
 
         header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        self._tmp_path = path + ".partial"
-        self._file = open(self._tmp_path, "wb")
+        # a temp name of its own, so two writers to one path never share it;
+        # "x" creates the file with the umask's mode, as "w" would
+        self._tmp_path = f"{path}.{os.urandom(8).hex()}.partial"
+        self._file = open(self._tmp_path, "xb")
         self._file.write(len(header_bytes).to_bytes(8, "little"))
         self._file.write(header_bytes)
         self._next = 0
@@ -408,6 +410,25 @@ class KeyReport:
     def clean(self) -> bool:
         return not (self.missing or self.shape_mismatch or self.dtype_mismatch)
 
+    def require(self, strict: bool) -> None:
+        """Raise unless the checkpoints can be merged: shapes must always
+        agree; strict mode also rejects any missing name or dtype drift."""
+        if self.shape_mismatch:
+            raise ValidationError(f"shape mismatch on: {sorted(self.shape_mismatch)}")
+        if strict and not self.clean:
+            problems = sorted(set(self.missing) | set(self.dtype_mismatch))
+            raise ValidationError(f"checkpoints are not key-compatible: {problems}")
+
+    def missing_from(
+        self, base: CheckpointHandle, models: list[CheckpointHandle], task_ids: list[str]
+    ) -> dict[str, list[str]]:
+        """Names the base holds -> ids of the tasks whose models lack them."""
+        return {
+            name: [tid for tid, m in zip(task_ids, models) if m.path in absent]
+            for name, absent in self.missing.items()
+            if base.path not in absent
+        }
+
     def to_dict(self) -> dict:
         return {
             "common": self.common,
@@ -420,8 +441,9 @@ class KeyReport:
 def validate_compatibility(handles: list[CheckpointHandle]) -> KeyReport:
     """Report-only comparison of tensor names, shapes and dtypes.
 
-    Callers decide strictness; a merge in strict mode treats any entry in
-    the report as fatal, lenient mode tolerates missing names.
+    Callers decide strictness through ``KeyReport.require``: strict mode
+    treats any entry in the report as fatal, lenient mode tolerates missing
+    names.
     """
     if len(handles) < 2:
         raise ValidationError("compatibility check needs at least two checkpoints")

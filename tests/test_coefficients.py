@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taskmerge import (
@@ -75,11 +75,18 @@ class TestClosedForm:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=8))
+    @example(norms=[1e6, 1e6, 999999.9999999999])
     def test_monotone_in_norms(self, norms):
+        # Each lambda is one correctly rounded division by the same total:
+        # the order always holds, but squared norms an ulp or two apart can
+        # round to the same lambda. Apart by more than 2**-50 relative, the
+        # exact quotients differ by more than both roundings and stay strict.
         lambdas = metagpt_coefficients(stats_of(norms)).lambdas
         for i in range(len(norms)):
             for j in range(len(norms)):
                 if norms[i] > norms[j]:
+                    assert lambdas[i] >= lambdas[j]
+                if norms[i] > norms[j] * (1.0 + 2.0**-50):
                     assert lambdas[i] > lambdas[j]
 
     def test_equal_norms_degenerate_to_weight_average(self):

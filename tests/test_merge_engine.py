@@ -20,8 +20,6 @@ from taskmerge import (
     read_tensor,
     run_recipe,
     task_arithmetic_merge,
-    ties_disjoint_merge,
-    ties_elect_sign,
     ties_trim,
 )
 
@@ -87,55 +85,6 @@ class TestTiesTrim:
         assert out.tobytes() == trim_dense(v, density).tobytes()
 
 
-class TestTiesSignElection:
-    def test_plain_sum_positive(self):
-        coeffs = CoefficientSet(list("abc"), [1.0, 1.0, 1.0], "fixed")
-        signs = ties_elect_sign([buf([0.3]), buf([-0.1]), buf([0.2])], coeffs)
-        assert signs.tolist() == [1.0]
-
-    def test_exact_zero_sum(self):
-        coeffs = CoefficientSet(list("ab"), [1.0, 1.0], "fixed")
-        signs = ties_elect_sign([buf([-1.0]), buf([1.0])], coeffs)
-        assert signs.tolist() == [0.0]
-
-    def test_weighted_sum(self):
-        coeffs = CoefficientSet(list("ab"), [0.1, 0.9], "fixed")
-        signs = ties_elect_sign([buf([-0.5]), buf([0.1])], coeffs)
-        assert signs.tolist() == [1.0]
-
-
-class TestTiesDisjointMerge:
-    def test_hand_traced_column(self):
-        coeffs = CoefficientSet(list("abc"), [1 / 6, 1 / 3, 1 / 2], "fixed")
-        trimmed = [buf([0.3]), buf([-0.1]), buf([0.2])]
-        signs = ties_elect_sign(trimmed, coeffs)
-        assert signs.tolist() == [1.0]
-        out = ties_disjoint_merge(trimmed, signs, coeffs)
-        assert out.values[0] == pytest.approx((1 / 6) * 0.3 + (1 / 2) * 0.2, abs=1e-15)
-
-    def test_uniform_same_sign_recovers_mean(self):
-        rng = np.random.default_rng(1)
-        vs = [buf(np.abs(rng.standard_normal(10)) + 0.01) for _ in range(4)]
-        coeffs = CoefficientSet(list("abcd"), [0.25] * 4, "weight_average")
-        signs = ties_elect_sign(vs, coeffs)
-        out = ties_disjoint_merge(vs, signs, coeffs)
-        expect = np.mean([v.values for v in vs], axis=0)
-        np.testing.assert_allclose(out.values, expect, rtol=1e-12)
-
-    def test_single_task(self):
-        coeffs = CoefficientSet(["a"], [0.7], "fixed")
-        v = buf([1.0, -2.0, 0.0])
-        signs = ties_elect_sign([v], coeffs)
-        out = ties_disjoint_merge([v], signs, coeffs)
-        assert out.values.tolist() == [0.7, -1.4, 0.0]
-
-    def test_zero_elected_sign_outputs_zero(self):
-        coeffs = CoefficientSet(list("ab"), [1.0, 1.0], "fixed")
-        trimmed = [buf([-1.0]), buf([1.0])]
-        out = ties_disjoint_merge(trimmed, ties_elect_sign(trimmed, coeffs), coeffs)
-        assert out.values.tolist() == [0.0]
-
-
 class TestDare:
     def test_p_zero_identity(self):
         v = np.array([0.1, -0.7, 1e-30, 123.456])
@@ -182,6 +131,64 @@ def family(tmp_path, base_arrays, task_vectors, dtype="F32"):
         model = {n: np.asarray(v) + tv[n] for n, v in base_arrays.items()}
         model_ps.append(write_ckpt(tmp_path / f"m{i}.st", model, dtype=dtype))
     return base_p, model_ps
+
+
+def ties_merge_columns(tmp_path, columns, lambdas):
+    """Merge task columns over a zero F32 base with TIES at density 1."""
+    base_p, model_ps = family(
+        tmp_path, {"w": np.zeros(len(columns[0]))}, [{"w": np.array(c)} for c in columns]
+    )
+    ids = [f"t{i}" for i in range(len(columns))]
+    recipe = MergeRecipe(
+        base=base_p,
+        tasks=[TaskSpec(tid, p) for tid, p in zip(ids, model_ps)],
+        output=str(tmp_path / "out.st"),
+        transform="ties",
+        ties_density=1.0,
+    )
+    coeffs = CoefficientSet(ids, lambdas, "external")
+    handle, _ = run_recipe(recipe, coeffs_override=coeffs)
+    return read_tensor(handle, "w").values.tolist()
+
+
+# Hand-traced TIES columns at density 1 over a zero base: the elected sign is
+# the sign of the coefficient-weighted sum, an exact zero sum elects 0, and
+# only the tasks that agree with the elected sign contribute. Every value is
+# exact in F32.
+class TestTiesSignElection:
+    def test_plain_sum_positive(self, tmp_path):
+        # 0.75 - 0.25 + 0.5 > 0: the two positive entries are summed
+        assert ties_merge_columns(tmp_path, [[0.75], [-0.25], [0.5]], [1.0, 1.0, 1.0]) == [1.25]
+
+    def test_exact_zero_sum(self, tmp_path):
+        # first column sums to exactly 0 and elects 0; the second elects +
+        out = ties_merge_columns(tmp_path, [[-1.0, 2.0], [1.0, -1.0]], [1.0, 1.0])
+        assert out == [0.0, 2.0]
+
+
+class TestTiesDisjointMerge:
+    def test_hand_traced_column(self, tmp_path):
+        # weighted sum 0.1875 - 0.125 + 0.25 > 0; merged 0.25*0.75 + 0.5*0.5
+        out = ties_merge_columns(tmp_path, [[0.75], [-0.25], [0.5]], [0.25, 0.5, 0.5])
+        assert out == [0.4375]
+
+    def test_zero_elected_sign_outputs_zero(self, tmp_path):
+        # 0.5*(-0.5) + 1.0*0.25 == 0: neither task agrees with sign 0
+        assert ties_merge_columns(tmp_path, [[-0.5], [0.25]], [0.5, 1.0]) == [0.0]
+
+
+# (task columns, coefficients, merged column)
+TIES_COLUMNS = {
+    "weighted_sum": ([[-0.5], [0.125]], [0.125, 0.75], [0.09375]),
+    "single_task": ([[1.0, -2.0, 0.0]], [0.75], [0.75, -1.5, 0.0]),
+}
+
+
+class TestTiesCombine:
+    @pytest.mark.parametrize("case", list(TIES_COLUMNS))
+    def test_hand_traced_columns(self, tmp_path, case):
+        columns, lambdas, expect = TIES_COLUMNS[case]
+        assert ties_merge_columns(tmp_path, columns, lambdas) == expect
 
 
 class TestTaskArithmeticMerge:

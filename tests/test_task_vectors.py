@@ -4,38 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskmerge import (
-    TensorBuffer,
+    MergeRecipe,
+    TaskSpec,
     ValidationError,
     compute_stats,
     cosine_matrix,
     open_checkpoint,
+    run_recipe,
     stats_from_arrays,
-    task_vector_tensor,
 )
 
 from conftest import write_ckpt
-
-
-class TestTaskVectorTensor:
-    def test_subtraction(self):
-        fine = TensorBuffer("w", (2,), np.array([3.0, 4.0]))
-        base = TensorBuffer("w", (2,), np.array([1.0, 1.0]))
-        assert task_vector_tensor(fine, base).values.tolist() == [2.0, 3.0]
-
-    def test_identical_gives_zeros(self):
-        buf = TensorBuffer("w", (3,), np.array([1.0, 2.0, 3.0]))
-        assert task_vector_tensor(buf, buf).values.tolist() == [0.0, 0.0, 0.0]
-
-    def test_exact_in_wide_arithmetic(self):
-        fine = TensorBuffer("w", (1,), np.array([1e8 + 1.0]))
-        base = TensorBuffer("w", (1,), np.array([1e8]))
-        assert task_vector_tensor(fine, base).values.tolist() == [1.0]
-
-    def test_shape_mismatch(self):
-        fine = TensorBuffer("w", (2,), np.zeros(2))
-        base = TensorBuffer("w", (3,), np.zeros(3))
-        with pytest.raises(ValidationError, match="shape"):
-            task_vector_tensor(fine, base)
 
 
 class TestComputeStats:
@@ -116,7 +95,37 @@ class TestComputeStats:
         model = write_ckpt(tmp_path / "m.st", {"x": np.array([3.0, 4.0])})
         stats = compute_stats(open_checkpoint(base), [open_checkpoint(model)], strict=False)
         assert stats.sq_norms == [25.0]
-        assert "y" in stats.missing_names
+        assert stats.missing_names == {"y": ["m"]}
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_norms_and_missing_names_match_engine(self, tmp_path, strict):
+        rng = np.random.default_rng(17)
+        base = {"w.a": rng.standard_normal((4, 5)), "w.b": rng.standard_normal(7)}
+        models = [
+            {k: v + 0.1 * rng.standard_normal(v.shape) for k, v in base.items()} for _ in range(3)
+        ]
+        if not strict:
+            del models[1]["w.b"]
+            models[2]["extra"] = np.ones(2)
+        base_p = write_ckpt(tmp_path / "b.st", base)
+        model_ps = [write_ckpt(tmp_path / f"m{i}.st", m) for i, m in enumerate(models)]
+        ids = ["a", "b", "c"]
+        stats = compute_stats(
+            open_checkpoint(base_p),
+            [open_checkpoint(p) for p in model_ps],
+            strict=strict,
+            task_ids=ids,
+        )
+        recipe = MergeRecipe(
+            base=base_p,
+            tasks=[TaskSpec(tid, p) for tid, p in zip(ids, model_ps)],
+            output=str(tmp_path / "o.st"),
+            strict_keys=strict,
+        )
+        _, report = run_recipe(recipe)
+        assert np.array(stats.sq_norms).tobytes() == np.array(report.raw_sq_norms).tobytes()
+        assert (stats.missing_names or {}) == report.missing_names
+        assert report.missing_names == ({} if strict else {"w.b": ["b"]})
 
     def test_shape_mismatch_always_fatal(self, tmp_path):
         base = write_ckpt(tmp_path / "b.st", {"x": np.zeros((2, 2))})

@@ -264,6 +264,22 @@ class TestWrite:
         p2 = write_ckpt(tmp_path / "two.st", arrays, metadata={"k": "v"})
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
+    def test_two_writers_one_path(self, tmp_path):
+        path = str(tmp_path / "c.st")
+        specs = [("x", (1,), "F32")]
+        first, second = CheckpointWriter(path, specs), CheckpointWriter(path, specs)
+        first.write(TensorBuffer("x", (1,), np.array([1.0])))
+        second.write(TensorBuffer("x", (1,), np.array([2.0])))
+        first.abort()
+        second.close()
+        expect = write_ckpt(tmp_path / "expect.st", {"x": np.array([2.0])})
+        assert Path(path).read_bytes() == Path(expect).read_bytes()
+        assert list(tmp_path.glob("*.partial")) == []
+        # the output keeps the umask's mode, as a file opened for writing would
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        assert os.stat(path).st_mode == plain.stat().st_mode
+
     def test_metadata_roundtrip(self, tmp_path):
         p = write_ckpt(tmp_path / "c.st", {"a": np.zeros(1)}, metadata={"origin": "test"})
         assert open_checkpoint(p).metadata == {"origin": "test"}
