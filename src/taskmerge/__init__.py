@@ -21,7 +21,6 @@ from .merge_engine import (
     TaskSpec,
     dare_transform,
     run_recipe,
-    task_arithmetic_merge,
     ties_trim,
 )
 from .task_vectors import (
@@ -71,7 +70,6 @@ __all__ = [
     "read_tensor",
     "run_recipe",
     "stats_from_arrays",
-    "task_arithmetic_merge",
     "ties_trim",
     "validate_compatibility",
     "weight_average_coefficients",

@@ -12,11 +12,11 @@ import json
 import sys
 
 from . import jsonutil, theory_lab
-from .coefficients import COEFFICIENT_METHODS
+from .coefficients import NORM_FREE_METHODS, NORM_METHODS
 from .errors import FormatError, RecipeError, ValidationError
 from .merge_engine import MergeRecipe, run_recipe
-from .task_vectors import TaskVectorStats, compute_stats
-from .tensor_store import open_checkpoint
+from .task_vectors import TaskVectorStats, compute_stats, default_task_ids
+from .tensor_store import open_checkpoint, validate_compatibility
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,29 +110,54 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _read_stats_file(path: str) -> TaskVectorStats:
+    with open(path) as f:
+        try:
+            data = json.load(f)
+        except json.JSONDecodeError as e:
+            raise RecipeError(f"bad stats file: {e}") from e
+    if not isinstance(data, dict):
+        raise RecipeError("stats file must be a JSON object")
+    tasks, sq_norms = data.get("tasks"), data.get("sq_norms")
+    if (
+        not isinstance(tasks, list)
+        or not all(isinstance(t, str) for t in tasks)
+        or len(set(tasks)) != len(tasks)
+    ):
+        raise RecipeError("stats file needs 'tasks': a list of unique strings")
+    # bool is an int subclass, but true/false is never a norm
+    if (
+        not isinstance(sq_norms, list)
+        or len(sq_norms) != len(tasks)
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in sq_norms)
+    ):
+        raise RecipeError("stats file needs 'sq_norms': a list of one number per task")
+    return TaskVectorStats(task_ids=tasks, sq_norms=[float(v) for v in sq_norms])
+
+
 def cmd_coeffs(args) -> int:
+    method = _CLI_METHODS[args.method]
     if args.stats_file:
         if args.paths:
             raise RecipeError("pass either --stats or checkpoint paths, not both")
-        with open(args.stats_file) as f:
-            try:
-                data = json.load(f)
-            except json.JSONDecodeError as e:
-                raise RecipeError(f"bad stats file: {e}") from e
-        try:
-            task_ids = list(data["tasks"])
-            sq_norms = [float(v) for v in data["sq_norms"]]
-        except (KeyError, TypeError, ValueError) as e:
-            raise RecipeError(f"stats file needs 'tasks' and 'sq_norms': {e}") from e
-        stats = TaskVectorStats(task_ids=task_ids, sq_norms=sq_norms)
+        stats = _read_stats_file(args.stats_file)
+        task_ids = stats.task_ids
     else:
         if len(args.paths) < 2:
             raise RecipeError("need BASE and at least one MODEL (or --stats FILE)")
         base = open_checkpoint(args.paths[0])
         models = [open_checkpoint(p) for p in args.paths[1:]]
-        stats = compute_stats(base, models, strict=args.strict)
+        if method in NORM_METHODS:
+            stats = compute_stats(base, models, strict=args.strict)
+        else:
+            # these coefficients need the task ids alone: no tensor is read
+            validate_compatibility([base] + models).require(args.strict)
+            task_ids = default_task_ids(models)
 
-    coeffs = COEFFICIENT_METHODS[_CLI_METHODS[args.method]](stats, args.fixed_lambda)
+    if method in NORM_METHODS:
+        coeffs = NORM_METHODS[method](stats)
+    else:
+        coeffs = NORM_FREE_METHODS[method](task_ids, args.fixed_lambda)
     print(coeffs.to_json(indent=2))
     return EXIT_OK
 

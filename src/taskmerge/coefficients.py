@@ -100,14 +100,19 @@ def weight_average_coefficients(task_ids: list[str]) -> CoefficientSet:
     return CoefficientSet(list(task_ids), [1.0 / t] * t, "weight_average")
 
 
-# Recipe method name -> coefficient function of (task statistics, fixed
-# lambda). The CoefficientSet labels in METHODS differ ("fixed" is
-# "task_arithmetic_fixed" here) and stay as they are: reports carry them.
-COEFFICIENT_METHODS: dict[str, Callable[[TaskVectorStats, float], CoefficientSet]] = {
-    "weight_average": lambda stats, value: weight_average_coefficients(stats.task_ids),
-    "task_arithmetic_fixed": lambda stats, value: fixed_coefficients(stats.task_ids, value),
-    "metagpt": lambda stats, value: metagpt_coefficients(stats),
+# Recipe method name -> coefficient function. The norm-free methods take
+# (task ids, fixed lambda), so they fix lambda before any tensor is read; the
+# others take the task-vector statistics. The CoefficientSet labels in
+# METHODS differ ("fixed" is "task_arithmetic_fixed" here) and stay as they
+# are: reports carry them.
+NORM_FREE_METHODS: dict[str, Callable[[list[str], float], CoefficientSet]] = {
+    "weight_average": lambda task_ids, value: weight_average_coefficients(task_ids),
+    "task_arithmetic_fixed": fixed_coefficients,
 }
+NORM_METHODS: dict[str, Callable[[TaskVectorStats], CoefficientSet]] = {
+    "metagpt": metagpt_coefficients,
+}
+COEFFICIENT_METHODS = (*NORM_FREE_METHODS, *NORM_METHODS)
 
 
 def coefficients_from_dict(data: dict) -> CoefficientSet:

@@ -1,15 +1,19 @@
 """Streaming checkpoint merges: base + sum of scaled task vectors.
 
-The pipeline runs two passes over the inputs, tensor name by tensor name in
-sorted order:
+The engine walks the inputs tensor name by tensor name in sorted order, one
+task diff at a time, and feeds each diff to one or both of two sinks:
 
-  1. statistics: squared norms of each task vector, raw and (when a TIES
-     trim or a drop-and-rescale transform is configured) transformed;
+  1. norms: squared norms of each task vector, raw and (when a TIES trim or
+     a drop-and-rescale transform is configured) transformed;
   2. combine: out[name] = base[name] + sum_t lambda_t * tv_t[name], where
      TIES replaces the plain sum with sign election + disjoint merge.
 
-Coefficients come from the configured method between the passes. The
-engine counts the single-tensor buffers it holds (base, the per-task
+The closed form needs every norm before it gives coefficients, so its merge
+walks twice: norms only, then combine only. The norm-free methods and given
+coefficients fix lambda before any tensor is read, so their merge walks
+once, feeding both sinks, with the same norms and report.
+
+The engine counts the single-tensor buffers it holds (base, the per-task
 vectors for one name, one accumulator) and reports the peak of that count
 as ``peak_live_buffers <= T + 2``; memory never grows with total model
 size. The count leaves out the temporaries of decoding, reduction and the
@@ -28,10 +32,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import jsonutil
-from .coefficients import COEFFICIENT_METHODS, CoefficientSet
+from .coefficients import COEFFICIENT_METHODS, NORM_FREE_METHODS, NORM_METHODS, CoefficientSet
 from .errors import RecipeError, ValidationError
 from .rng import stream_seed, uniform_stream
-from .task_vectors import StatsAccumulator, TaskVectorStats, task_diffs
+from .task_vectors import StatsAccumulator, task_diffs
 from .tensor_store import (
     CheckpointHandle,
     CheckpointWriter,
@@ -41,7 +45,7 @@ from .tensor_store import (
     validate_compatibility,
 )
 
-METHODS = tuple(COEFFICIENT_METHODS)
+METHODS = COEFFICIENT_METHODS
 TRANSFORMS = ("none", "ties", "dare")
 NORM_SOURCES = ("raw", "transformed")
 OUTPUT_DTYPES = ("base", "F32")
@@ -250,154 +254,71 @@ def dare_transform(
     return TensorBuffer(tv.name, tv.shape, out)
 
 
-def task_arithmetic_merge(
-    base: CheckpointHandle,
-    models: list[CheckpointHandle],
-    coeffs: CoefficientSet,
-    output: str,
-    output_dtype: str = "base",
-    strict: bool = True,
-) -> CheckpointHandle:
-    """Plain scaled-task-vector merge, written through the streaming engine."""
-    recipe = MergeRecipe(
-        base=base.path,
-        tasks=[TaskSpec(tid, m.path) for tid, m in zip(coeffs.task_ids, models)],
-        output=output,
-        method="task_arithmetic_fixed",
-        transform="none",
-        strict_keys=strict,
-        output_dtype=output_dtype,
-    )
-    handle, _ = run_recipe(recipe, coeffs_override=coeffs)
-    return handle
-
-
-def _transform_diff(
-    diff: np.ndarray,
-    name: str,
-    task_index: int,
-    recipe: MergeRecipe,
-) -> np.ndarray:
-    buf = TensorBuffer(name, (diff.size,), diff)
-    if recipe.transform == "ties":
-        return ties_trim(buf, recipe.ties_density).values
-    if recipe.transform == "dare":
-        return dare_transform(buf, recipe.dare_p, (recipe.seed, task_index, name)).values
-    return diff
-
-
-def _compute_pass_stats(
+def _walk(
     base: CheckpointHandle,
     models: list[CheckpointHandle],
     recipe: MergeRecipe,
     counter: BufferCounter,
-) -> tuple[TaskVectorStats, TaskVectorStats]:
-    """One streaming pass producing raw and transformed squared norms.
+    norms: tuple[StatsAccumulator, StatsAccumulator | None] | None = None,
+    combine: tuple[list[float], CheckpointWriter] | None = None,
+) -> None:
+    """One streaming walk over (tensor name, task diffs) in sorted-name order.
 
-    Without a transform the transformed norms are the raw ones, so they are
-    accumulated once and the same stats are returned for both.
+    Each diff goes to the sinks given:
+      - norms (raw, transformed): squared norms of the diff and of the
+        transformed diff before it is scaled (None: no transform);
+      - combine (lambdas, writer): writes base + sum_t lambda_t * tv_t. The
+        plain sum consumes one diff at a time. TIES holds all of a tensor's
+        diffs for the sign election: T + 2 buffers (base, T vectors, signs).
     """
-    task_ids = [t.id for t in recipe.tasks]
-    raw = StatsAccumulator(task_ids)
-    transformed = StatsAccumulator(task_ids) if recipe.transform != "none" else None
+    raw, transformed = norms or (None, None)
+    lambdas, writer = combine or (None, None)
+    ties = writer is not None and recipe.transform == "ties"
     for name in sorted(base.index):
         base_buf = read_tensor(base, name)
+        out = base_buf.values
         counter.acquire()
+        if writer is not None and not ties:
+            out = out.copy()
+            counter.acquire()
+        held = []
         for t, diff in task_diffs(name, base_buf.values, models):
             counter.acquire()
-            raw.add_partial(t, diff)
+            if raw is not None:
+                raw.add_partial(t, diff)
+            v, buf = diff, TensorBuffer(name, (diff.size,), diff)
+            if recipe.transform == "ties":
+                v = ties_trim(buf, recipe.ties_density).values
+            elif recipe.transform == "dare":
+                v = dare_transform(buf, recipe.dare_p, (recipe.seed, t, name)).values
             if transformed is not None:
-                transformed.add_partial(t, _transform_diff(diff, name, t, recipe))
+                transformed.add_partial(t, v)
+            if ties:
+                held.append((lambdas[t], v))
+                continue
+            if writer is not None:
+                v *= lambdas[t]
+                out += v
             counter.release()
-        counter.release()
-    raw_stats = raw.finalize()
-    return raw_stats, transformed.finalize() if transformed is not None else raw_stats
-
-
-def _merge_one_ties(
-    name: str,
-    base_vals: np.ndarray,
-    models: list[CheckpointHandle],
-    recipe: MergeRecipe,
-    lambdas: list[float],
-    counter: BufferCounter,
-) -> np.ndarray:
-    """Sign-elect + disjoint-merge combine, accumulated onto the base values.
-
-    All trimmed task vectors for this tensor are live at once (the election
-    needs them), so the count here is T + 2 buffers: base, T vectors, signs.
-    """
-    present = []
-    for t, diff in task_diffs(name, base_vals, models):
-        counter.acquire()
-        present.append((lambdas[t], _transform_diff(diff, name, t, recipe)))
-    if present:
-        signs = np.zeros_like(base_vals)
-        counter.acquire()
-        for lam, v in present:
-            signs += lam * v
-        np.sign(signs, out=signs)
-        for lam, v in present:
-            match = (np.sign(v) == signs) & (signs != 0.0)
-            v *= lam
-            v[~match] = 0.0
-            base_vals += v
-            counter.release()
-        counter.release()  # signs
-    return base_vals
-
-
-def _merge_one_plain(
-    name: str,
-    base_vals: np.ndarray,
-    models: list[CheckpointHandle],
-    recipe: MergeRecipe,
-    lambdas: list[float],
-    counter: BufferCounter,
-) -> np.ndarray:
-    """Plain scaled sum; task vectors are consumed one at a time."""
-    acc = base_vals.copy()
-    counter.acquire()
-    for t, diff in task_diffs(name, base_vals, models):
-        counter.acquire()
-        tv = _transform_diff(diff, name, t, recipe)
-        tv *= lambdas[t]
-        acc += tv
-        counter.release()
-    return acc
-
-
-def _merge_pass(
-    base: CheckpointHandle,
-    models: list[CheckpointHandle],
-    recipe: MergeRecipe,
-    coeffs: CoefficientSet,
-    counter: BufferCounter,
-) -> None:
-    names = sorted(base.index)
-    specs = [
-        (
-            name,
-            base.index[name].shape,
-            "F32" if recipe.output_dtype == "F32" else base.index[name].dtype,
-        )
-        for name in names
-    ]
-    writer = CheckpointWriter(recipe.output, specs, metadata=base.metadata)
-    lambdas = list(coeffs.lambdas)
-    merge_one = _merge_one_ties if recipe.transform == "ties" else _merge_one_plain
-    try:
-        for name in names:
-            base_buf = read_tensor(base, name)
+        if held:
+            # sign election, then the disjoint merge onto the base buffer
+            signs = np.zeros_like(out)
             counter.acquire()
-            out = merge_one(name, base_buf.values, models, recipe, lambdas, counter)
+            for lam, v in held:
+                signs += lam * v
+            np.sign(signs, out=signs)
+            for lam, v in held:
+                match = (np.sign(v) == signs) & (signs != 0.0)
+                v *= lam
+                v[~match] = 0.0
+                out += v
+                counter.release()
+            counter.release()  # signs
+            held.clear()  # kept to the next tensor, they raised TIES peak RSS 11%
+        if writer is not None:
             writer.write(TensorBuffer(name, base_buf.shape, out))
-            # ties accumulates onto the base buffer itself; plain uses a copy
-            counter.release(1 if out is base_buf.values else 2)
-    except Exception:
-        writer.abort()
-        raise
-    writer.close()
+        # TIES accumulates onto the base buffer itself; the plain sum onto a copy
+        counter.release(1 if out is base_buf.values else 2)
 
 
 def run_recipe(
@@ -419,24 +340,43 @@ def run_recipe(
     # names present in some model but absent from the base cannot be merged
     skipped = sorted(n for n, absent in report.missing.items() if base.path in absent)
 
+    task_ids = [t.id for t in recipe.tasks]
+    raw = StatsAccumulator(task_ids)
+    transformed = StatsAccumulator(task_ids) if recipe.transform != "none" else None
+    norms = (raw, transformed)
     counter = BufferCounter()
-    raw_stats, transformed_stats = _compute_pass_stats(base, models, recipe, counter)
     coeffs = coeffs_override
+    if coeffs is None and recipe.method in NORM_FREE_METHODS:
+        coeffs = NORM_FREE_METHODS[recipe.method](task_ids, recipe.fixed_lambda)
     if coeffs is None:
-        stats = transformed_stats if recipe.norm_source == "transformed" else raw_stats
-        coeffs = COEFFICIENT_METHODS[recipe.method](stats, recipe.fixed_lambda)
-    _merge_pass(base, models, recipe, coeffs, counter)
+        # the coefficients read norms: take them all before combining anything
+        _walk(base, models, recipe, counter, norms=norms)
+        use_raw = recipe.norm_source == "raw" or transformed is None
+        coeffs = NORM_METHODS[recipe.method]((raw if use_raw else transformed).finalize())
+        norms = None
+
+    specs = [
+        (name, meta.shape, "F32" if recipe.output_dtype == "F32" else meta.dtype)
+        for name, meta in base.index.items()
+    ]
+    writer = CheckpointWriter(recipe.output, specs, metadata=base.metadata)
+    try:
+        _walk(base, models, recipe, counter, norms=norms, combine=(coeffs.lambdas, writer))
+    except Exception:
+        writer.abort()
+        raise
+    writer.close()
 
     merge_report = MergeReport(
         recipe=recipe.to_dict(),
         coefficients=coeffs.to_dict(),
-        raw_sq_norms=list(raw_stats.sq_norms),
+        raw_sq_norms=raw.finalize().sq_norms,
         transformed_sq_norms=(
-            list(transformed_stats.sq_norms) if recipe.transform != "none" else None
+            transformed.finalize().sq_norms if transformed is not None else None
         ),
         tensor_count=len(base.index),
         skipped_names=skipped,
-        missing_names=report.missing_from(base, models, [t.id for t in recipe.tasks]),
+        missing_names=report.missing_from(base, models, task_ids),
         peak_live_buffers=counter.peak,
         wall_time_s=time.perf_counter() - t0,
     )

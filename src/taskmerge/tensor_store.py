@@ -285,8 +285,10 @@ class CheckpointWriter:
     """Incremental writer: declare all tensors up front, then stream values.
 
     Tensors must be supplied in sorted-name order (the declared layout).
-    Data lands in a temp file that is atomically renamed on close, so an
-    aborted write never leaves a partial checkpoint behind.
+    Data lands in a temp file ``<path>.<hex>.partial`` that is atomically
+    renamed on close, so an aborted write never leaves a partial checkpoint
+    behind. Nothing removes the temp file of a killed process: a sweep could
+    not tell it from a live writer's.
     """
 
     def __init__(

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taskmerge import cli
+from taskmerge import cli, task_vectors
 
 from conftest import write_ckpt
 
@@ -122,6 +122,51 @@ class TestCoeffs:
     def test_no_inputs_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "coeffs")
         assert code == 1
+
+    def test_norm_free_reads_no_tensor(self, capsys, monkeypatch, trio):
+        reads = []
+
+        def counted(handle, name, _read=task_vectors.read_tensor):
+            reads.append(name)
+            return _read(handle, name)
+
+        monkeypatch.setattr(task_vectors, "read_tensor", counted)
+        base, m1, m2 = trio
+        for method, lambdas in (("weight-average", [0.5, 0.5]), ("fixed", [0.3, 0.3])):
+            code, out, _ = run_cli(capsys, "coeffs", base, m1, m2, "--method", method)
+            assert code == 0
+            assert json.loads(out) == {
+                "method": method.replace("-", "_"),
+                "tasks": ["m1", "m2"],
+                "lambdas": lambdas,
+            }
+        assert reads == []
+
+    def test_norm_free_still_checks_compatibility(self, capsys, tmp_path, trio):
+        base, m1, _ = trio
+        short = write_ckpt(tmp_path / "short.st", {"a": np.ones((2, 2))})
+        code, _, err = run_cli(capsys, "coeffs", base, m1, short,
+                               "--method", "weight-average", "--strict")
+        assert code == 2
+        assert "key-compatible" in err
+
+    @pytest.mark.parametrize(
+        "method,data",
+        [
+            ("metagpt", {"tasks": ["a"], "sq_norms": [1.0, 0.0]}),
+            ("weight-average", {"tasks": ["a", "b"], "sq_norms": [1.0]}),
+            ("weight-average", {"tasks": "ab", "sq_norms": [1.0, 2.0]}),
+            ("metagpt", {"tasks": ["a", "a"], "sq_norms": [1.0, 2.0]}),
+        ],
+        ids=["norms_longer", "norms_shorter", "tasks_string", "duplicate_ids"],
+    )
+    def test_malformed_stats_exit_1(self, capsys, tmp_path, method, data):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "coeffs", "--stats", str(stats), "--method", method)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: stats file needs")
 
     def test_degenerate_stats_exit_2(self, capsys, tmp_path):
         stats = tmp_path / "stats.json"

@@ -19,7 +19,6 @@ from taskmerge import (
     open_checkpoint,
     read_tensor,
     run_recipe,
-    task_arithmetic_merge,
     ties_trim,
 )
 
@@ -191,53 +190,34 @@ class TestTiesCombine:
         assert ties_merge_columns(tmp_path, columns, lambdas) == expect
 
 
-class TestTaskArithmeticMerge:
-    def test_direct_two_task_evaluation(self, tmp_path):
-        base_p, model_ps = family(
-            tmp_path,
-            {"w": np.array([1.0, 1.0])},
-            [{"w": np.array([2.0, 0.0])}, {"w": np.array([0.0, 4.0])}],
-        )
-        coeffs = CoefficientSet(["a", "b"], [0.5, 0.25], "fixed")
-        handle = task_arithmetic_merge(
-            open_checkpoint(base_p),
-            [open_checkpoint(p) for p in model_ps],
-            coeffs,
-            str(tmp_path / "out.st"),
-        )
-        assert read_tensor(handle, "w").values.tolist() == [2.0, 2.0]
+_W = np.random.default_rng(0).standard_normal((3, 50))
+# (base, task vectors, coefficients, expected merge: values, "model" or "base")
+OVERRIDE_CASES = {
+    "two_tasks": ([1.0, 1.0], [[2.0, 0.0], [0.0, 4.0]], [0.5, 0.25], [2.0, 2.0]),
+    "single_task_full_coefficient_reproduces_model": (_W[0], [_W[1]], [1.0], "model"),
+    "zero_coefficients_reproduce_base": (_W[0], [_W[1], _W[2]], [0.0, 0.0], "base"),
+}
 
-    def test_single_task_full_coefficient_reproduces_model(self, tmp_path):
-        rng = np.random.default_rng(0)
-        base_p, model_ps = family(
-            tmp_path,
-            {"w": rng.standard_normal(50)},
-            [{"w": rng.standard_normal(50)}],
-        )
-        handle = task_arithmetic_merge(
-            open_checkpoint(base_p),
-            [open_checkpoint(model_ps[0])],
-            CoefficientSet(["a"], [1.0], "fixed"),
-            str(tmp_path / "out.st"),
-        )
-        expect = read_tensor(open_checkpoint(model_ps[0]), "w").values
-        np.testing.assert_array_equal(read_tensor(handle, "w").values, expect)
 
-    def test_zero_coefficients_reproduce_base(self, tmp_path):
-        rng = np.random.default_rng(1)
+class TestCoeffsOverride:
+    @pytest.mark.parametrize("case", list(OVERRIDE_CASES))
+    def test_scaled_sum(self, tmp_path, case):
+        base_w, tvs, lambdas, expect = OVERRIDE_CASES[case]
         base_p, model_ps = family(
-            tmp_path,
-            {"w": rng.standard_normal(50)},
-            [{"w": rng.standard_normal(50)}, {"w": rng.standard_normal(50)}],
+            tmp_path, {"w": np.array(base_w)}, [{"w": np.array(tv)} for tv in tvs]
         )
-        handle = task_arithmetic_merge(
-            open_checkpoint(base_p),
-            [open_checkpoint(p) for p in model_ps],
-            CoefficientSet(["a", "b"], [0.0, 0.0], "fixed"),
-            str(tmp_path / "out.st"),
+        ids = [f"t{i}" for i in range(len(tvs))]
+        recipe = MergeRecipe(
+            base=base_p,
+            tasks=[TaskSpec(tid, p) for tid, p in zip(ids, model_ps)],
+            output=str(tmp_path / "out.st"),
+            method="task_arithmetic_fixed",
         )
-        expect = read_tensor(open_checkpoint(base_p), "w").values
-        np.testing.assert_array_equal(read_tensor(handle, "w").values, expect)
+        handle, _ = run_recipe(recipe, coeffs_override=CoefficientSet(ids, lambdas, "fixed"))
+        if expect in ("model", "base"):
+            path = model_ps[0] if expect == "model" else base_p
+            expect = read_tensor(open_checkpoint(path), "w").values.tolist()
+        assert read_tensor(handle, "w").values.tolist() == expect
 
 
 class TestRunRecipe:
