@@ -16,9 +16,14 @@ once, feeding both sinks, with the same norms and report.
 The engine counts the single-tensor buffers it holds (base, the per-task
 vectors for one name, one accumulator) and reports the peak of that count
 as ``peak_live_buffers <= T + 2``; memory never grows with total model
-size. The count leaves out the temporaries of decoding, reduction and the
-transforms, so traced peaks run higher: about 8.25 float64 single-tensor
-buffers for T = 4 with TIES, and about 3.5 for T = 1 with no transform.
+size. The base, each diff and the plain sum are decoded or summed into
+working buffers allocated once per run at the size of the largest tensor,
+so their pages are faulted in once per run, not once per read. The count
+leaves out the raw bytes of a read and the temporaries of the transforms,
+so tracemalloc peaks run higher. In float64 buffers of the largest tensor,
+on the benchmark's inputs: about 3.26 with no transform, for T = 1 and
+T = 4 alike (three working buffers plus one BF16 read), about 4.5 with DARE
+(T = 8, F32), and about 8.25 with TIES (T = 4), which holds trimmed copies.
 Everything is deterministic: re-running a recipe with the same seed
 produces byte-identical output files and reports.
 """
@@ -259,6 +264,7 @@ def _walk(
     models: list[CheckpointHandle],
     recipe: MergeRecipe,
     counter: BufferCounter,
+    work: tuple[np.ndarray, np.ndarray],
     norms: tuple[StatsAccumulator, StatsAccumulator | None] | None = None,
     combine: tuple[list[float], CheckpointWriter] | None = None,
 ) -> None:
@@ -270,19 +276,28 @@ def _walk(
       - combine (lambdas, writer): writes base + sum_t lambda_t * tv_t. The
         plain sum consumes one diff at a time. TIES holds all of a tensor's
         diffs for the sign election: T + 2 buffers (base, T vectors, signs).
+
+    The base and each diff live in the heads of the *work* buffers (base,
+    diff), which every tensor reuses; so does the plain sum, in a buffer of
+    the same size made once per walk. TIES needs no sum buffer: it adds onto
+    the base.
     """
     raw, transformed = norms or (None, None)
     lambdas, writer = combine or (None, None)
     ties = writer is not None and recipe.transform == "ties"
+    plain = writer is not None and not ties
+    base_work, diff_work = work
+    sum_work = np.empty(base_work.size) if plain else None
     for name in sorted(base.index):
-        base_buf = read_tensor(base, name)
+        base_buf = read_tensor(base, name, out=base_work)
         out = base_buf.values
         counter.acquire()
-        if writer is not None and not ties:
-            out = out.copy()
+        if plain:
+            out = sum_work[: out.size]
+            np.copyto(out, base_buf.values)
             counter.acquire()
         held = []
-        for t, diff in task_diffs(name, base_buf.values, models):
+        for t, diff in task_diffs(name, base_buf.values, models, out=diff_work):
             counter.acquire()
             if raw is not None:
                 raw.add_partial(t, diff)
@@ -294,9 +309,11 @@ def _walk(
             if transformed is not None:
                 transformed.add_partial(t, v)
             if ties:
-                held.append((lambdas[t], v))
+                # the next diff overwrites this one: hold a copy if the trim
+                # returned the diff itself (it keeps every element)
+                held.append((lambdas[t], v.copy() if np.may_share_memory(v, diff_work) else v))
                 continue
-            if writer is not None:
+            if plain:
                 v *= lambdas[t]
                 out += v
             counter.release()
@@ -318,7 +335,7 @@ def _walk(
         if writer is not None:
             writer.write(TensorBuffer(name, base_buf.shape, out))
         # TIES accumulates onto the base buffer itself; the plain sum onto a copy
-        counter.release(1 if out is base_buf.values else 2)
+        counter.release(2 if plain else 1)
 
 
 def run_recipe(
@@ -332,25 +349,33 @@ def run_recipe(
     t0 = time.perf_counter()
     base = open_checkpoint(recipe.base)
     models = [open_checkpoint(t.path) for t in recipe.tasks]
-    if coeffs_override is not None and coeffs_override.num_tasks != len(models):
-        raise ValidationError("coefficient count does not match task count")
+    task_ids = [t.id for t in recipe.tasks]
+    # given coefficients are applied by position, so their ids must line up
+    if coeffs_override is not None and coeffs_override.task_ids != task_ids:
+        raise ValidationError(
+            f"coefficients are for tasks {coeffs_override.task_ids}, recipe has {task_ids}"
+        )
 
     report = validate_compatibility([base] + models)
     report.require(recipe.strict_keys)
     # names present in some model but absent from the base cannot be merged
     skipped = sorted(n for n, absent in report.missing.items() if base.path in absent)
 
-    task_ids = [t.id for t in recipe.tasks]
     raw = StatsAccumulator(task_ids)
     transformed = StatsAccumulator(task_ids) if recipe.transform != "none" else None
     norms = (raw, transformed)
     counter = BufferCounter()
+    # base and diff buffers, allocated once per run at the size of the
+    # largest tensor and dropped with it: a fresh full-size array per read
+    # costs its page faults every time
+    largest = max(meta.num_elements for meta in base.index.values())
+    work = (np.empty(largest), np.empty(largest))
     coeffs = coeffs_override
     if coeffs is None and recipe.method in NORM_FREE_METHODS:
         coeffs = NORM_FREE_METHODS[recipe.method](task_ids, recipe.fixed_lambda)
     if coeffs is None:
         # the coefficients read norms: take them all before combining anything
-        _walk(base, models, recipe, counter, norms=norms)
+        _walk(base, models, recipe, counter, work, norms=norms)
         use_raw = recipe.norm_source == "raw" or transformed is None
         coeffs = NORM_METHODS[recipe.method]((raw if use_raw else transformed).finalize())
         norms = None
@@ -361,7 +386,7 @@ def run_recipe(
     ]
     writer = CheckpointWriter(recipe.output, specs, metadata=base.metadata)
     try:
-        _walk(base, models, recipe, counter, norms=norms, combine=(coeffs.lambdas, writer))
+        _walk(base, models, recipe, counter, work, norms=norms, combine=(coeffs.lambdas, writer))
     except Exception:
         writer.abort()
         raise

@@ -8,7 +8,10 @@ a tensor to be live at once.
 
 Reduction order is fixed: numpy's deterministic pairwise reduction within a
 tensor, then a sequential fold over tensors in sorted-name order. Two runs
-over the same files give bit-identical results.
+over the same files give bit-identical results. Within a tensor the products
+are made one leaf of numpy's pairwise tree (``_LEAF`` elements at most) at a
+time, so a reduction makes no full-size temporary and still returns exactly
+``np.sum(a * b)``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ import numpy as np
 from . import jsonutil
 from .errors import ValidationError
 from .tensor_store import CheckpointHandle, read_tensor, validate_compatibility
+
+# Largest leaf of the blocked reduction: its product (128 KiB) stays in L2.
+_LEAF = 2**14
 
 
 @dataclass
@@ -59,18 +65,40 @@ class CosineMatrix:
     values: np.ndarray
 
 
+def blocked_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``float(np.sum(a * b))`` bit for bit, for flat float64 arrays of one
+    size, with the products made one leaf of at most ``_LEAF`` at a time.
+
+    Nodes split as numpy's pairwise sum splits them (n2 = n // 2 rounded
+    down to a multiple of 8), so every leaf is a subtree that numpy also sums
+    on its own, and the leaf sums are added back up the same tree.
+    """
+    n = a.size
+    if n <= _LEAF:
+        return float(np.sum(a * b))
+    n2 = n // 2
+    n2 -= n2 % 8
+    return blocked_dot(a[:n2], b[:n2]) + blocked_dot(a[n2:], b[n2:])
+
+
 def task_diffs(
-    name: str, base_values: np.ndarray, models: list[CheckpointHandle]
+    name: str,
+    base_values: np.ndarray,
+    models: list[CheckpointHandle],
+    out: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (t, model_t[name] - base) for each model that holds *name*.
 
     Each diff is taken in place on its freshly decoded array, and the next
     model is read only when the caller asks for it, so one diff at a time is
-    made; a model lacking the name is skipped (it contributes zero).
+    made; a model lacking the name is skipped (it contributes zero). Given
+    *out*, every diff is decoded into its head, so each yielded diff is
+    overwritten by the next one: the caller must be done with it, or have
+    copied it, before asking for the next.
     """
     for t, model in enumerate(models):
         if name in model.index:
-            diff = read_tensor(model, name).values
+            diff = read_tensor(model, name, out=out).values
             diff -= base_values
             yield t, diff
 
@@ -94,7 +122,7 @@ class StatsAccumulator:
         self._gram = np.zeros((t, t), dtype=np.float64) if want_gram else None
 
     def add_partial(self, t: int, diff: np.ndarray) -> None:
-        self._sq[t] += float(np.sum(diff * diff))
+        self._sq[t] += blocked_dot(diff, diff)
 
     def add_tensor(self, diffs: dict[int, np.ndarray]) -> None:
         """Fold one tensor's task diffs in. Absent indices contribute zero."""
@@ -104,7 +132,7 @@ class StatsAccumulator:
             idx = sorted(diffs)
             for a, i in enumerate(idx):
                 for j in idx[a + 1 :]:
-                    p = float(np.sum(diffs[i] * diffs[j]))
+                    p = blocked_dot(diffs[i], diffs[j])
                     self._gram[i, j] += p
                     self._gram[j, i] += p
 
@@ -161,10 +189,11 @@ def stats_from_arrays(
     task_ids: list[str], vectors: list[np.ndarray], want_gram: bool = False
 ) -> TaskVectorStats:
     """Statistics of in-memory task vectors (one flat array per task)."""
+    flat = {t: np.asarray(v, dtype=np.float64).reshape(-1) for t, v in enumerate(vectors)}
+    if want_gram and len({v.size for v in flat.values()}) > 1:
+        raise ValidationError("Gram statistics need task vectors of one length")
     acc = StatsAccumulator(task_ids, want_gram)
-    acc.add_tensor(
-        {t: np.asarray(v, dtype=np.float64).reshape(-1) for t, v in enumerate(vectors)}
-    )
+    acc.add_tensor(flat)
     return acc.finalize()
 
 

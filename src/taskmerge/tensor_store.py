@@ -12,8 +12,9 @@ Non-finite values are rejected on both read and write: a silent NaN in a
 checkpoint corrupts every model merged from it.
 
 The codec works through a tensor in chunks of ``_CHUNK`` elements. Decoding
-fills one float64 result from views of the raw bytes; encoding narrows into
-one result of the storage dtype, which the writer writes without a copy.
+fills one float64 result (a new array, or the head of a buffer the caller
+passes) from views of the raw bytes; encoding narrows into one result of the
+storage dtype, which the writer writes without a copy.
 Scratch arrays hold one chunk, so no full-size temporary is made. A value is
 inf or NaN exactly when its exponent bits are all ones, so the read check
 runs on the stored bits before any cast (a signaling NaN never reaches a
@@ -126,12 +127,15 @@ def _any_nonfinite(bits: np.ndarray, exponent: int, scratch: np.ndarray) -> bool
     return np.bitwise_and(bits, exponent, out=scratch[: bits.size]).max() == exponent
 
 
-def _decode(raw: bytes, dtype: str, path: str, name: str) -> np.ndarray:
-    """Widen stored values to a new float64 array, one chunk at a time."""
+def _decode(
+    raw: bytes, dtype: str, path: str, name: str, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Widen stored values to float64, one chunk at a time, into the head of
+    *out* when given, else into a new array."""
     storage, unsigned, exponent = _LAYOUT[dtype]
     bits = np.frombuffer(raw, dtype=unsigned)
     stored = bits.view(storage)
-    out = np.empty(bits.size, dtype=np.float64)
+    out = np.empty(bits.size, dtype=np.float64) if out is None else out[: bits.size]
     mask = np.empty(min(bits.size, _CHUNK), dtype=unsigned)
     wide = np.empty(mask.size, dtype=np.uint32) if dtype == "BF16" else None
     for lo in range(0, bits.size, _CHUNK):
@@ -266,18 +270,32 @@ def open_checkpoint(path: str) -> CheckpointHandle:
     )
 
 
-def read_tensor(handle: CheckpointHandle, name: str) -> TensorBuffer:
-    """Decode one tensor to float64, exactly (F16/BF16 widen without loss)."""
+def read_tensor(
+    handle: CheckpointHandle, name: str, out: np.ndarray | None = None
+) -> TensorBuffer:
+    """Decode one tensor to float64, exactly (F16/BF16 widen without loss).
+
+    Given a flat float64 *out* of at least the tensor's size, the values are
+    decoded into ``out[:n]`` and the buffer is a view of it; otherwise they
+    go to a new array. Reusing *out* spares the page faults of a fresh
+    full-size array on every read.
+    """
     meta = handle.index.get(name)
     if meta is None:
         raise ValidationError(f"{handle.path}: no tensor named '{name}'")
+    if out is not None and (
+        out.dtype != np.float64 or out.ndim != 1 or out.size < meta.num_elements
+    ):
+        raise ValidationError(
+            f"'{name}' needs a flat float64 buffer of {meta.num_elements} values"
+        )
     with open(handle.path, "rb") as f:
         f.seek(handle.data_start + meta.byte_range[0])
         raw = f.read(meta.num_bytes)
     if len(raw) != meta.num_bytes:
         raise FormatError(f"{handle.path}: truncated payload for '{name}'")
     handle.bytes_read += len(raw)
-    values = _decode(raw, meta.dtype, handle.path, name)
+    values = _decode(raw, meta.dtype, handle.path, name, out)
     return TensorBuffer(name=name, shape=meta.shape, values=values)
 
 

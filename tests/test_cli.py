@@ -126,9 +126,9 @@ class TestCoeffs:
     def test_norm_free_reads_no_tensor(self, capsys, monkeypatch, trio):
         reads = []
 
-        def counted(handle, name, _read=task_vectors.read_tensor):
+        def counted(handle, name, out=None, _read=task_vectors.read_tensor):
             reads.append(name)
-            return _read(handle, name)
+            return _read(handle, name, out=out)
 
         monkeypatch.setattr(task_vectors, "read_tensor", counted)
         base, m1, m2 = trio

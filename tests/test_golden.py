@@ -140,9 +140,9 @@ def test_norm_free_merges_read_each_tensor_once(tmp_path, monkeypatch, method, o
     ]
     reads = []
     for module in (merge_engine, task_vectors):
-        def counted(handle, name, _read=module.read_tensor):
+        def counted(handle, name, out=None, _read=module.read_tensor):
             reads.append(name)
-            return _read(handle, name)
+            return _read(handle, name, out=out)
         monkeypatch.setattr(module, "read_tensor", counted)
     recipe = MergeRecipe(
         base=paths[0],

@@ -219,6 +219,69 @@ class TestCoeffsOverride:
             expect = read_tensor(open_checkpoint(path), "w").values.tolist()
         assert read_tensor(handle, "w").values.tolist() == expect
 
+    @pytest.mark.parametrize("ids", [["b", "a"], ["x", "y"], ["a"]])
+    def test_ids_must_match_recipe(self, tmp_path, ids):
+        # the lambdas apply by position: swapped ids would merge a at c's lambda
+        base_p, model_ps = family(
+            tmp_path, {"w": np.zeros(2)}, [{"w": np.ones(2)}, {"w": -np.ones(2)}]
+        )
+        recipe = MergeRecipe(
+            base=base_p,
+            tasks=[TaskSpec("a", model_ps[0]), TaskSpec("b", model_ps[1])],
+            output=str(tmp_path / "out.st"),
+        )
+        coeffs = CoefficientSet(ids, [1.0, 0.0][: len(ids)], "external")
+        with pytest.raises(ValidationError, match="coefficients are for tasks"):
+            run_recipe(recipe, coeffs_override=coeffs)
+        assert not (tmp_path / "out.st").exists()
+
+
+# Sizes that shrink and grow in sorted-name order, so each tensor is decoded,
+# diffed and summed in the head of buffers that a larger or smaller tensor
+# used before it. "c" has one element: every density keeps it whole, so the
+# trim hands back the diff itself.
+REUSE_SHAPES = {"a": (6, 7), "b": (5,), "c": (1,), "d": (9, 13), "e": (3,)}
+
+
+class TestWorkingBuffers:
+    @pytest.mark.parametrize("method", ["metagpt", "weight_average"])
+    @pytest.mark.parametrize(
+        "transform,density,p",
+        [("none", 0.55, 0.5), ("ties", 0.3, 0.5), ("ties", 1.0, 0.5),
+         ("dare", 0.55, 0.0), ("dare", 0.55, 0.7)],
+    )
+    def test_reuse_matches_dense_reference(self, tmp_path, method, transform, density, p):
+        rng = np.random.default_rng(41)
+        base = {n: rng.standard_normal(s) for n, s in REUSE_SHAPES.items()}
+        tvs = [
+            {n: 0.3 * (1 + t) * rng.standard_normal(s) for n, s in REUSE_SHAPES.items()}
+            for t in range(3)
+        ]
+        base_p, model_ps = family(tmp_path, base, tvs)
+        runs = []
+        for run in range(2):
+            recipe = MergeRecipe(
+                base=base_p,
+                tasks=[TaskSpec(f"t{i}", mp) for i, mp in enumerate(model_ps)],
+                output=str(tmp_path / f"out{run}.st"),
+                method=method,
+                transform=transform,
+                ties_density=density,
+                dare_p=p,
+                seed=7,
+            )
+            handle, report = run_recipe(recipe)
+            runs.append((Path(recipe.output).read_bytes(), report.coefficients,
+                         report.raw_sq_norms, report.transformed_sq_norms))
+        assert runs[0] == runs[1]
+        expect, lambdas = reference_merge(
+            base_p, model_ps, method=method, transform=transform,
+            ties_density=density, dare_p=p, seed=7,
+        )
+        np.testing.assert_allclose(report.coefficients["lambdas"], lambdas, rtol=1e-12)
+        for name in expect:
+            np.testing.assert_allclose(read_tensor(handle, name).values, expect[name], atol=1e-6)
+
 
 class TestRunRecipe:
     def test_metagpt_lambdas_quarter_three_quarters(self, tmp_path):

@@ -14,6 +14,8 @@ from taskmerge import (
     stats_from_arrays,
 )
 
+from taskmerge.task_vectors import _LEAF, blocked_dot
+
 from conftest import write_ckpt
 
 
@@ -210,3 +212,54 @@ def test_json_export_shape(small_family):
     data = json.loads(stats.to_json())
     assert set(data) == {"tasks", "sq_norms", "cosine"}
     assert len(data["cosine"]) == 2
+
+
+# sizes at numpy's unroll (8), its pairwise block (128), the leaf and the
+# first splits above it
+EDGE_SIZES = [0, 1, 7, 8, 9, 127, 128, 129, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF - 8,
+              2 * _LEAF + 8]
+
+
+def spread_values(rng, n, lo, span, zeros):
+    """Signed values with decimal exponents in [lo, lo + span], a fraction
+    *zeros* of them -0.0 and about one in eight subnormal."""
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, min(lo + span, 150), n)
+    subnormal = rng.random(n) < 1 / 8
+    x[subnormal] = rng.integers(1, 2**52, np.count_nonzero(subnormal)) * 5e-324
+    x[rng.random(n) < zeros] = -0.0
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from(EDGE_SIZES), st.integers(0, 4 * _LEAF)),
+    seed=st.integers(0, 2**32 - 1),
+    lo=st.integers(-300, 150),
+    span=st.integers(0, 450),
+    zeros=st.sampled_from([0.0, 0.1, 1.0]),
+)
+def test_blocked_sums_match_numpy_bit_for_bit(n, seed, lo, span, zeros):
+    rng = np.random.default_rng(seed)
+    x, y = (spread_values(rng, n, lo, span, zeros) for _ in range(2))
+    stats = stats_from_arrays(["x", "y"], [x, y], want_gram=True)
+
+    def bits(v):
+        return np.float64(v).tobytes()
+
+    assert bits(stats.sq_norms[0]) == bits(np.sum(x * x))
+    assert bits(stats.sq_norms[1]) == bits(np.sum(y * y))
+    assert bits(stats.gram[0, 1]) == bits(np.sum(x * y))
+    assert bits(stats.gram[1, 0]) == bits(np.sum(x * y))
+    assert bits(blocked_dot(x, y)) == bits(np.sum(x * y))
+
+
+def test_blocked_sum_of_negative_zeros_is_positive_zero():
+    # every product underflows to -0.0; np.sum starts from +0.0, so the sum is +0.0
+    for n in EDGE_SIZES:
+        x, y = np.full(n, -1e-200), np.full(n, 1e-200)
+        assert np.float64(blocked_dot(x, y)).tobytes() == np.sum(x * y).tobytes()
+
+
+def test_gram_needs_vectors_of_one_length():
+    with pytest.raises(ValidationError, match="one length"):
+        stats_from_arrays(["a", "b"], [np.ones(3), np.ones(1)], want_gram=True)
