@@ -222,9 +222,6 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

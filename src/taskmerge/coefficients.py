@@ -43,10 +43,6 @@ class CoefficientSet:
             if abs(sum(self.lambdas) - 1.0) > 1e-12:
                 raise ValidationError("closed-form coefficients must sum to 1")
 
-    @property
-    def num_tasks(self) -> int:
-        return len(self.task_ids)
-
     def to_dict(self) -> dict:
         out = {
             "method": self.method,

@@ -34,7 +34,6 @@ def dumps(obj, indent: int | None = None) -> str:
 def _write(obj, out: list[str], indent: int | None, depth: int) -> None:
     nl = "" if indent is None else "\n" + " " * (indent * (depth + 1))
     close_nl = "" if indent is None else "\n" + " " * (indent * depth)
-    sep = "," if indent is None else ","
     if obj is None or obj is True or obj is False:
         out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
@@ -52,7 +51,7 @@ def _write(obj, out: list[str], indent: int | None, depth: int) -> None:
             if not isinstance(k, str):
                 raise TypeError(f"non-string key {k!r}")
             if i:
-                out.append(sep)
+                out.append(",")
             out.append(nl)
             out.append(json.dumps(k))
             out.append(": " if indent is not None else ":")
@@ -67,7 +66,7 @@ def _write(obj, out: list[str], indent: int | None, depth: int) -> None:
         out.append("[")
         for i, v in enumerate(items):
             if i:
-                out.append(sep)
+                out.append(",")
             out.append(nl)
             _write(v, out, indent, depth + 1)
         out.append(close_nl)

@@ -18,12 +18,14 @@ vectors for one name, one accumulator) and reports the peak of that count
 as ``peak_live_buffers <= T + 2``; memory never grows with total model
 size. The base, each diff and the plain sum are decoded or summed into
 working buffers allocated once per run at the size of the largest tensor,
-so their pages are faulted in once per run, not once per read. The count
-leaves out the raw bytes of a read and the temporaries of the transforms,
-so tracemalloc peaks run higher. In float64 buffers of the largest tensor,
-on the benchmark's inputs: about 3.26 with no transform, for T = 1 and
-T = 4 alike (three working buffers plus one BF16 read), about 4.5 with DARE
-(T = 8, F32), and about 8.25 with TIES (T = 4), which holds trimmed copies.
+so their pages are faulted in once per run, not once per read; TIES and
+DARE transform the diff in place. The count leaves out the raw bytes of a
+read and the masks and magnitudes the transforms work from, so tracemalloc
+peaks run higher. In float64 buffers of the largest tensor, on the
+benchmark's inputs: about 3.26 with no transform, for T = 1 and T = 4 alike
+(three working buffers plus one BF16 read), about 4.1 with DARE (T = 8,
+F32; the uniforms on top), and about 8.25 with TIES (T = 4), which holds a
+copy of each trimmed diff.
 Everything is deterministic: re-running a recipe with the same seed
 produces byte-identical output files and reports.
 """
@@ -40,7 +42,7 @@ from . import jsonutil
 from .coefficients import COEFFICIENT_METHODS, NORM_FREE_METHODS, NORM_METHODS, CoefficientSet
 from .errors import RecipeError, ValidationError
 from .rng import stream_seed, uniform_stream
-from .task_vectors import StatsAccumulator, task_diffs
+from .task_vectors import StatsAccumulator, task_diffs, working_buffer
 from .tensor_store import (
     CheckpointHandle,
     CheckpointWriter,
@@ -207,56 +209,54 @@ class BufferCounter:
         self.live -= n
 
 
-def ties_trim(tv: TensorBuffer, density: float) -> TensorBuffer:
-    """Keep the ceil(density * n) largest-magnitude elements, zero the rest.
+def ties_trim(values: np.ndarray, density: float) -> None:
+    """Keep the ceil(density * n) largest-magnitude elements of the flat
+    float64 array *values* and zero the rest, in place.
 
     O(n): ``np.partition`` finds the k-th largest magnitude ``thr``; every
     element with ``|v| > thr`` is kept, and the remaining slots go to the
     elements with ``|v| == thr``, lowest flat index first. That is the order
-    of a stable descending sort by magnitude, so the output does not depend
-    on how the partition breaks ties. Dropped elements are +0.0; kept ones,
-    -0.0 included, are copied as they are. Values must be finite, as every
-    tensor the engine reads is.
+    of a stable descending sort by magnitude, so the result does not depend
+    on how the partition breaks ties. Dropped elements become +0.0; kept
+    ones, -0.0 included, are left as they are. Values must be finite, as
+    every tensor the engine reads is. Density 1 changes nothing.
     """
     if not 0.0 < density <= 1.0:
         raise ValidationError(f"density out of range (0, 1]: {density}")
-    v = tv.values
-    n = v.size
+    n = values.size
     k = math.ceil(density * n)
     if k >= n:
-        return tv
-    mag = np.abs(v)
+        return
+    mag = np.abs(values)
     thr = np.partition(mag, n - k)[n - k]
     keep = mag > thr
     need = k - np.count_nonzero(keep)
     keep[np.flatnonzero(mag == thr)[:need]] = True
-    del mag  # free |v| before the output buffer is allocated
-    return TensorBuffer(tv.name, tv.shape, np.where(keep, v, 0.0))
+    del mag
+    np.putmask(values, ~keep, 0.0)
 
 
-def dare_transform(
-    tv: TensorBuffer, p: float, stream_key: tuple[int, int, str]
-) -> TensorBuffer:
-    """Drop elements with probability p, rescale survivors by 1/(1-p).
+def dare_transform(values: np.ndarray, p: float, stream_key: tuple[int, int, str]) -> None:
+    """Drop elements of the flat float64 array *values* with probability p
+    and rescale the survivors by 1/(1-p), in place.
 
     Element e is kept iff u_e >= p, where u_e is the e-th uniform of a
     SplitMix64 stream keyed by (seed, task_index, tensor_name); dropped
-    elements are +0.0. p = 0 keeps every element and is a bit-exact identity,
-    so it returns *tv* without drawing the stream. The output is unbiased in
+    elements become +0.0, and each survivor is divided once by (1 - p).
+    p = 0 changes nothing and draws no stream. The result is unbiased in
     expectation.
     """
     if not 0.0 <= p < 1.0:
         raise ValidationError(f"drop probability out of range [0, 1): {p}")
     if p == 0.0:
-        return tv
+        return
     seed, task_index, tensor_name = stream_key
-    # the uniforms are freed once compared, before the output is allocated
-    drop = uniform_stream(stream_seed(seed, task_index, tensor_name), tv.values.size) < p
-    out = tv.values / (1.0 - p)
-    # putmask, not out[drop] = 0.0: the boolean-index assignment is about a
-    # third slower on masks this dense, enough to show in a DARE merge
-    np.putmask(out, drop, 0.0)
-    return TensorBuffer(tv.name, tv.shape, out)
+    # the uniforms are freed once compared
+    drop = uniform_stream(stream_seed(seed, task_index, tensor_name), values.size) < p
+    values /= 1.0 - p
+    # putmask, not values[drop] = 0.0: the boolean-index assignment is about
+    # a third slower on masks this dense, enough to show in a DARE merge
+    np.putmask(values, drop, 0.0)
 
 
 def _walk(
@@ -274,20 +274,21 @@ def _walk(
       - norms (raw, transformed): squared norms of the diff and of the
         transformed diff before it is scaled (None: no transform);
       - combine (lambdas, writer): writes base + sum_t lambda_t * tv_t. The
-        plain sum consumes one diff at a time. TIES holds all of a tensor's
-        diffs for the sign election: T + 2 buffers (base, T vectors, signs).
+        plain sum consumes one diff at a time. TIES holds a copy of each of
+        a tensor's diffs for the sign election: T + 2 buffers (base, T
+        vectors, signs).
 
     The base and each diff live in the heads of the *work* buffers (base,
-    diff), which every tensor reuses; so does the plain sum, in a buffer of
-    the same size made once per walk. TIES needs no sum buffer: it adds onto
-    the base.
+    diff), which every tensor reuses, and the transform works on the diff
+    in place; the plain sum lives in a buffer of the same size made once per
+    walk. TIES needs no sum buffer: it adds onto the base.
     """
     raw, transformed = norms or (None, None)
     lambdas, writer = combine or (None, None)
     ties = writer is not None and recipe.transform == "ties"
     plain = writer is not None and not ties
     base_work, diff_work = work
-    sum_work = np.empty(base_work.size) if plain else None
+    sum_work = working_buffer(base) if plain else None
     for name in sorted(base.index):
         base_buf = read_tensor(base, name, out=base_work)
         out = base_buf.values
@@ -301,21 +302,19 @@ def _walk(
             counter.acquire()
             if raw is not None:
                 raw.add_partial(t, diff)
-            v, buf = diff, TensorBuffer(name, (diff.size,), diff)
             if recipe.transform == "ties":
-                v = ties_trim(buf, recipe.ties_density).values
+                ties_trim(diff, recipe.ties_density)
             elif recipe.transform == "dare":
-                v = dare_transform(buf, recipe.dare_p, (recipe.seed, t, name)).values
+                dare_transform(diff, recipe.dare_p, (recipe.seed, t, name))
             if transformed is not None:
-                transformed.add_partial(t, v)
+                transformed.add_partial(t, diff)
             if ties:
-                # the next diff overwrites this one: hold a copy if the trim
-                # returned the diff itself (it keeps every element)
-                held.append((lambdas[t], v.copy() if np.may_share_memory(v, diff_work) else v))
+                # the next diff is decoded into the same buffer
+                held.append((lambdas[t], diff.copy()))
                 continue
             if plain:
-                v *= lambdas[t]
-                out += v
+                diff *= lambdas[t]
+                out += diff
             counter.release()
         if held:
             # sign election, then the disjoint merge onto the base buffer
@@ -327,7 +326,7 @@ def _walk(
             for lam, v in held:
                 match = (np.sign(v) == signs) & (signs != 0.0)
                 v *= lam
-                v[~match] = 0.0
+                np.putmask(v, ~match, 0.0)
                 out += v
                 counter.release()
             counter.release()  # signs
@@ -365,11 +364,7 @@ def run_recipe(
     transformed = StatsAccumulator(task_ids) if recipe.transform != "none" else None
     norms = (raw, transformed)
     counter = BufferCounter()
-    # base and diff buffers, allocated once per run at the size of the
-    # largest tensor and dropped with it: a fresh full-size array per read
-    # costs its page faults every time
-    largest = max(meta.num_elements for meta in base.index.values())
-    work = (np.empty(largest), np.empty(largest))
+    work = (working_buffer(base), working_buffer(base))
     coeffs = coeffs_override
     if coeffs is None and recipe.method in NORM_FREE_METHODS:
         coeffs = NORM_FREE_METHODS[recipe.method](task_ids, recipe.fixed_lambda)

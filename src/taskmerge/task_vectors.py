@@ -81,6 +81,16 @@ def blocked_dot(a: np.ndarray, b: np.ndarray) -> float:
     return blocked_dot(a[:n2], b[:n2]) + blocked_dot(a[n2:], b[n2:])
 
 
+def working_buffer(base: CheckpointHandle) -> np.ndarray:
+    """An uninitialized flat float64 buffer the size of *base*'s largest
+    tensor, for ``read_tensor(..., out=)`` to decode every tensor into.
+
+    Held for one walk and dropped with it: a fresh full-size array per read
+    costs its page faults every time.
+    """
+    return np.empty(max(meta.num_elements for meta in base.index.values()))
+
+
 def task_diffs(
     name: str,
     base_values: np.ndarray,
@@ -116,7 +126,6 @@ class StatsAccumulator:
         if not task_ids:
             raise ValidationError("need at least one task")
         self.task_ids = list(task_ids)
-        self.want_gram = want_gram
         t = len(task_ids)
         self._sq = np.zeros(t, dtype=np.float64)
         self._gram = np.zeros((t, t), dtype=np.float64) if want_gram else None
@@ -173,8 +182,13 @@ def compute_stats(
     report.require(strict)
 
     acc = StatsAccumulator(task_ids, want_gram)
+    # the Gram pairs need every diff of a tensor at once, so only a
+    # norms-only walk decodes its diffs into one reused buffer
+    base_work = working_buffer(base)
+    diff_work = None if want_gram else working_buffer(base)
     for name in sorted(base.index):
-        diffs = task_diffs(name, read_tensor(base, name).values, models)
+        base_values = read_tensor(base, name, out=base_work).values
+        diffs = task_diffs(name, base_values, models, out=diff_work)
         if want_gram:
             acc.add_tensor(dict(diffs))
         else:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,10 +87,6 @@ class TensorBuffer:
                 f"tensor '{self.name}': {self.values.size} values for shape {list(self.shape)}"
             )
 
-    @property
-    def num_elements(self) -> int:
-        return self.values.size
-
 
 @dataclass
 class CheckpointHandle:
@@ -108,14 +104,10 @@ class CheckpointHandle:
     metadata: dict[str, str] | None
     data_start: int
     bytes_read: int = 0
-    _file_size: int = field(default=0, repr=False)
 
     @property
     def total_params(self) -> int:
         return sum(m.num_elements for m in self.index.values())
-
-    def names(self) -> list[str]:
-        return sorted(self.index)
 
 
 def _any_nonfinite(bits: np.ndarray, exponent: int, scratch: np.ndarray) -> bool:
@@ -266,7 +258,6 @@ def open_checkpoint(path: str) -> CheckpointHandle:
         metadata=metadata,
         data_start=data_start,
         bytes_read=_HEADER_LEN_BYTES + header_len,
-        _file_size=file_size,
     )
 
 
@@ -447,14 +438,6 @@ class KeyReport:
             name: [tid for tid, m in zip(task_ids, models) if m.path in absent]
             for name, absent in self.missing.items()
             if base.path not in absent
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "common": self.common,
-            "missing": self.missing,
-            "shape_mismatch": self.shape_mismatch,
-            "dtype_mismatch": self.dtype_mismatch,
         }
 
 

@@ -23,7 +23,6 @@ from taskmerge import (
     run_recipe,
     stats_from_arrays,
 )
-from taskmerge.merge_engine import TensorBuffer
 from taskmerge import theory_lab as tl
 
 from conftest import write_ckpt
@@ -179,14 +178,14 @@ def test_c07_dare_unbiasedness():
     for p in (0.25, 0.5, 0.9):
         # 2% over 1e5 draws is ~2.1 sigma at p=0.9, so the stream key is
         # pinned; a broken rescale factor would miss by far more than 2%
-        out = dare_transform(
-            TensorBuffer("w", (100_000,), np.ones(100_000)), p, (16, 0, "w")
-        ).values
+        out = np.ones(100_000)
+        dare_transform(out, p, (16, 0, "w"))
         mean = float(np.mean(out))
         ok &= abs(mean - 1.0) <= 0.02
     rng = np.random.default_rng(3)
     v = rng.standard_normal(4096)
-    out = dare_transform(TensorBuffer("w", (4096,), v), 0.0, (0, 0, "w")).values
+    out = v.copy()
+    dare_transform(out, 0.0, (0, 0, "w"))
     ok &= np.array_equal(out, v)
     assert report_line(7, "drop-and-rescale unbiasedness and p=0 identity", ok)
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from taskmerge import merge_engine
+from taskmerge.rng import CHUNK
 from taskmerge import (
     CoefficientSet,
     MergeRecipe,
     RecipeError,
     TaskSpec,
-    TensorBuffer,
     ValidationError,
     dare_transform,
     open_checkpoint,
@@ -23,33 +23,42 @@ from taskmerge import (
 )
 
 from conftest import write_ckpt
-from dense_reference import reference_merge, trim_dense
+from dense_reference import dare_mask_dense, reference_merge, trim_dense
 
 
-def buf(values, name="w"):
-    values = np.asarray(values, dtype=np.float64)
-    return TensorBuffer(name, values.shape, values)
+def trimmed(values, density):
+    """ties_trim on a float64 copy of *values*; the kernel works in place."""
+    v = np.array(values, dtype=np.float64)
+    assert ties_trim(v, density) is None
+    return v
+
+
+def dropped(values, p, key):
+    """dare_transform on a float64 copy of *values*; the kernel works in place."""
+    v = np.array(values, dtype=np.float64)
+    assert dare_transform(v, p, key) is None
+    return v
 
 
 class TestTiesTrim:
     def test_top_two_by_magnitude(self):
-        out = ties_trim(buf([0.9, -0.1, 0.5, 0.05]), 0.5)
-        assert out.values.tolist() == [0.9, 0.0, 0.5, 0.0]
+        out = trimmed([0.9, -0.1, 0.5, 0.05], 0.5)
+        assert out.tolist() == [0.9, 0.0, 0.5, 0.0]
 
     def test_density_one_is_identity(self):
         v = np.array([0.3, -0.2, 0.0, 1.5])
-        assert ties_trim(buf(v), 1.0).values.tolist() == v.tolist()
+        assert trimmed(v, 1.0).tolist() == v.tolist()
 
     def test_density_55_keeps_eleven_of_twenty(self):
         rng = np.random.default_rng(3)
         v = rng.standard_normal(20)
-        out = ties_trim(buf(v), 0.55)
-        assert np.count_nonzero(out.values) == 11
+        out = trimmed(v, 0.55)
+        assert np.count_nonzero(out) == 11
 
     def test_threshold_ties_keep_lower_index(self):
-        out = ties_trim(buf([1.0, -1.0, 1.0, 2.0]), 0.5)
+        out = trimmed([1.0, -1.0, 1.0, 2.0], 0.5)
         # magnitude 2.0 first, then the tie at |1.0| resolves to index 0
-        assert out.values.tolist() == [1.0, 0.0, 0.0, 2.0]
+        assert out.tolist() == [1.0, 0.0, 0.0, 2.0]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -60,7 +69,7 @@ class TestTiesTrim:
         import math
 
         v = np.array(values)
-        out = ties_trim(buf(v), density).values
+        out = trimmed(v, density)
         k = math.ceil(density * v.size)
         kept = np.nonzero(out)[0]
         dropped = np.setdiff1d(np.arange(v.size), kept)
@@ -80,45 +89,67 @@ class TestTiesTrim:
         k = data.draw(st.sampled_from([1, max(n - 1, 1), n]) | st.integers(1, n))
         density = (k - 0.5) / n  # ceil(density * n) == k without rounding doubt
         assert math.ceil(density * n) == k
-        out = ties_trim(buf(v), density).values
+        out = trimmed(v, density)
         assert out.tobytes() == trim_dense(v, density).tobytes()
 
 
 class TestDare:
     def test_p_zero_identity(self):
         v = np.array([0.1, -0.7, 1e-30, 123.456])
-        out = dare_transform(buf(v), 0.0, (42, 0, "w"))
-        np.testing.assert_array_equal(out.values, v)
+        out = dropped(v, 0.0, (42, 0, "w"))
+        np.testing.assert_array_equal(out, v)
 
     def test_rescale_by_inverse_keep_probability(self):
-        out = dare_transform(buf([0.2] * 64), 0.5, (7, 1, "w")).values
+        out = dropped([0.2] * 64, 0.5, (7, 1, "w"))
         kept = out[out != 0.0]
         assert len(kept) > 0
         np.testing.assert_array_equal(kept, 0.4)
 
     def test_reproducible_and_key_sensitive(self):
-        v = buf(np.ones(256))
-        a = dare_transform(v, 0.5, (1, 0, "w")).values
-        b = dare_transform(v, 0.5, (1, 0, "w")).values
-        c = dare_transform(v, 0.5, (1, 1, "w")).values
-        d = dare_transform(v, 0.5, (1, 0, "other")).values
+        v = np.ones(256)
+        a = dropped(v, 0.5, (1, 0, "w"))
+        b = dropped(v, 0.5, (1, 0, "w"))
+        c = dropped(v, 0.5, (1, 1, "w"))
+        d = dropped(v, 0.5, (1, 0, "other"))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
     def test_matches_scalar_reference_stream(self):
-        from dense_reference import dare_mask_dense
-
         v = np.ones(501)
-        out = dare_transform(buf(v), 0.3, (987654321, 2, "layer.7.weight")).values
+        out = dropped(v, 0.3, (987654321, 2, "layer.7.weight"))
         mask = dare_mask_dense(987654321, 2, "layer.7.weight", 501, 0.3)
         np.testing.assert_array_equal(out != 0.0, mask)
+
+    # p near binary fractions, where u >= p and the division by 1 - p are
+    # most sensitive to rounding; 1 - p >= 1/16 keeps 1e300 finite
+    _P = [0.0, 0.5, 0.7, 0.9] + [
+        float(np.nextafter(f, to)) for f in (0.25, 0.5, 0.75, 0.875, 0.9375) for to in (0.0, 1.0)
+    ]
+    _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300, 1.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1]),
+        p=st.sampled_from(_P),
+        seed=st.integers(0, 2**64 - 1),
+        fill=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_match_scalar_reference(self, n, p, seed, fill):
+        gen = np.random.default_rng(fill)
+        v0 = gen.standard_normal(n) * 10.0 ** gen.integers(-320, 300, n)
+        special = gen.random(n) < 0.2
+        v0[special] = gen.choice(self._SPECIAL, np.count_nonzero(special))
+        v = v0.copy()
+        dare_transform(v, p, (seed, 3, "layer.0.w"))
+        expect = np.where(dare_mask_dense(seed, 3, "layer.0.w", n, p), v0 / (1 - p), 0.0)
+        assert v.tobytes() == expect.tobytes()
 
     def test_unbiased_over_many_seeds(self):
         # mean over 1e5 independent streams of dare([1.0], 0.5)
         total = 0.0
         for seed in range(100_000):
-            total += dare_transform(buf([1.0]), 0.5, (seed, 0, "w")).values[0]
+            total += dropped([1.0], 0.5, (seed, 0, "w"))[0]
         assert 0.99 <= total / 100_000 <= 1.01
 
 
@@ -239,7 +270,7 @@ class TestCoeffsOverride:
 # Sizes that shrink and grow in sorted-name order, so each tensor is decoded,
 # diffed and summed in the head of buffers that a larger or smaller tensor
 # used before it. "c" has one element: every density keeps it whole, so the
-# trim hands back the diff itself.
+# trim leaves the diff as it is.
 REUSE_SHAPES = {"a": (6, 7), "b": (5,), "c": (1,), "d": (9, 13), "e": (3,)}
 
 

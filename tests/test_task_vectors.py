@@ -66,6 +66,32 @@ class TestComputeStats:
                     acc += x * y
                 assert stats.gram[i, j] == pytest.approx(acc, rel=1e-10, abs=1e-12)
 
+    def test_reads_decode_into_reused_buffers(self, tmp_path, monkeypatch):
+        from taskmerge import task_vectors
+
+        rng = np.random.default_rng(5)
+        base = {n: rng.standard_normal(s) for n, s in {"a": (6, 7), "b": (5,), "c": (9, 13)}.items()}
+        base_p = write_ckpt(tmp_path / "b.st", base)
+        models = [
+            open_checkpoint(write_ckpt(tmp_path / f"m{t}.st", {n: v + t + 1 for n, v in base.items()}))
+            for t in range(2)
+        ]
+        reads = []
+        real = task_vectors.read_tensor
+
+        def spy(handle, name, out=None):
+            reads.append((handle.path == base_p, out is not None))
+            return real(handle, name, out=out)
+
+        monkeypatch.setattr(task_vectors, "read_tensor", spy)
+        norms = compute_stats(open_checkpoint(base_p), models)
+        assert len(reads) == 9 and all(has_out for _, has_out in reads)
+        # the Gram pairs hold every diff of a tensor, so only the base is reused
+        reads.clear()
+        gram = compute_stats(open_checkpoint(base_p), models, want_gram=True)
+        assert len(reads) == 9 and all(is_base == has_out for is_base, has_out in reads)
+        assert gram.sq_norms == norms.sq_norms
+
     def test_bitwise_deterministic(self, small_family):
         paths, *_ = small_family
         runs = []
