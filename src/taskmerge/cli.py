@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import jsonutil, theory_lab
@@ -110,12 +111,19 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _read_stats_file(path: str) -> TaskVectorStats:
-    with open(path) as f:
+def _load_json(path: str, what: str):
+    """Parse the UTF-8 JSON file *path*; bad bytes or bad JSON are a RecipeError."""
+    with open(path, encoding="utf-8") as f:
         try:
-            data = json.load(f)
-        except json.JSONDecodeError as e:
-            raise RecipeError(f"bad stats file: {e}") from e
+            return json.load(f)
+        # JSONDecodeError and UnicodeDecodeError are both ValueErrors; deep
+        # nesting overflows the decoder's recursion
+        except (ValueError, RecursionError) as e:
+            raise RecipeError(f"{what} is not valid JSON: {e}") from e
+
+
+def _read_stats_file(path: str) -> TaskVectorStats:
+    data = _load_json(path, "stats file")
     if not isinstance(data, dict):
         raise RecipeError("stats file must be a JSON object")
     tasks, sq_norms = data.get("tasks"), data.get("sq_norms")
@@ -132,7 +140,15 @@ def _read_stats_file(path: str) -> TaskVectorStats:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in sq_norms)
     ):
         raise RecipeError("stats file needs 'sq_norms': a list of one number per task")
-    return TaskVectorStats(task_ids=tasks, sq_norms=[float(v) for v in sq_norms])
+    # json reads NaN, Infinity and 1e400 as floats; float() of a huge int overflows
+    bad = "stats file needs 'sq_norms': finite float64 numbers"
+    try:
+        norms = [float(v) for v in sq_norms]
+    except OverflowError as e:
+        raise RecipeError(bad) from e
+    if not all(math.isfinite(v) for v in norms):
+        raise RecipeError(bad)
+    return TaskVectorStats(task_ids=tasks, sq_norms=norms)
 
 
 def cmd_coeffs(args) -> int:
@@ -163,12 +179,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    with open(args.recipe) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as e:
-            raise RecipeError(f"recipe is not valid JSON: {e}") from e
-    recipe = MergeRecipe.from_dict(data)
+    recipe = MergeRecipe.from_dict(_load_json(args.recipe, "recipe"))
     _, report = run_recipe(recipe)
     text = report.to_json(indent=2)
     if args.report:

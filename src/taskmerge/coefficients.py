@@ -66,10 +66,15 @@ def metagpt_coefficients(stats: TaskVectorStats) -> CoefficientSet:
     if stats.num_tasks == 0:
         raise ValidationError("no tasks")
     sq = [float(v) for v in stats.sq_norms]
+    if not all(math.isfinite(v) for v in sq):
+        raise ValidationError(f"non-finite squared norm: {sq}")
     zero = [stats.task_ids[i] for i, v in enumerate(sq) if v <= 0.0]
     if zero:
         raise ValidationError(f"degenerate task vector (zero norm): {zero}")
-    total = math.fsum(sq)
+    try:
+        total = math.fsum(sq)
+    except OverflowError as e:
+        raise ValidationError("squared norms sum past the float64 range") from e
     lambdas = [v / total for v in sq]
     return CoefficientSet(
         task_ids=list(stats.task_ids),

@@ -23,9 +23,10 @@ DARE transform the diff in place. The count leaves out the raw bytes of a
 read and the masks and magnitudes the transforms work from, so tracemalloc
 peaks run higher. In float64 buffers of the largest tensor, on the
 benchmark's inputs: about 3.26 with no transform, for T = 1 and T = 4 alike
-(three working buffers plus one BF16 read), about 4.1 with DARE (T = 8,
-F32; the uniforms on top), and about 8.25 with TIES (T = 4), which holds a
-copy of each trimmed diff.
+(three working buffers plus one BF16 read), about 3.54 with DARE (T = 8,
+F32: three working buffers plus one F32 read; its draws and drop mask take
+one block at a time), and about 8.25 with TIES (T = 4), which holds a copy
+of each trimmed diff.
 Everything is deterministic: re-running a recipe with the same seed
 produces byte-identical output files and reports.
 """
@@ -33,6 +34,7 @@ produces byte-identical output files and reports.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field, fields
 
@@ -41,7 +43,7 @@ import numpy as np
 from . import jsonutil
 from .coefficients import COEFFICIENT_METHODS, NORM_FREE_METHODS, NORM_METHODS, CoefficientSet
 from .errors import RecipeError, ValidationError
-from .rng import stream_seed, uniform_stream
+from .rng import CHUNK, drop_threshold, stream_seed, uniform_stream
 from .task_vectors import StatsAccumulator, task_diffs, working_buffer
 from .tensor_store import (
     CheckpointHandle,
@@ -101,7 +103,8 @@ class MergeRecipe:
             raise RecipeError(f"density out of range (0, 1]: {self.ties_density}")
         if not 0.0 <= self.dare_p < 1.0:
             raise RecipeError(f"drop probability out of range [0, 1): {self.dare_p}")
-        if not math.isfinite(self.fixed_lambda):
+        # an exact compare: float() of a huge JSON integer would overflow
+        if not abs(self.fixed_lambda) <= sys.float_info.max:
             raise RecipeError("fixed_lambda must be finite")
         if (
             isinstance(self.seed, bool)
@@ -240,23 +243,29 @@ def dare_transform(values: np.ndarray, p: float, stream_key: tuple[int, int, str
     """Drop elements of the flat float64 array *values* with probability p
     and rescale the survivors by 1/(1-p), in place.
 
-    Element e is kept iff u_e >= p, where u_e is the e-th uniform of a
-    SplitMix64 stream keyed by (seed, task_index, tensor_name); dropped
-    elements become +0.0, and each survivor is divided once by (1 - p).
-    p = 0 changes nothing and draws no stream. The result is unbiased in
-    expectation.
+    Element e is dropped iff draw z_e of a SplitMix64 stream keyed by (seed,
+    task_index, tensor_name) is below ``drop_threshold(p)``, which is the
+    same as its uniform z_e * 2**-64 being below p. Dropped elements become
+    +0.0, and each survivor is divided once by (1 - p). The array is walked
+    in blocks of ``CHUNK`` elements, so the draws and the drop mask never
+    take more than one block's memory. p = 0 changes nothing and draws no
+    stream. The result is unbiased in expectation.
     """
     if not 0.0 <= p < 1.0:
         raise ValidationError(f"drop probability out of range [0, 1): {p}")
     if p == 0.0:
         return
-    seed, task_index, tensor_name = stream_key
-    # the uniforms are freed once compared
-    drop = uniform_stream(stream_seed(seed, task_index, tensor_name), values.size) < p
-    values /= 1.0 - p
-    # putmask, not values[drop] = 0.0: the boolean-index assignment is about
-    # a third slower on masks this dense, enough to show in a DARE merge
-    np.putmask(values, drop, 0.0)
+    stream = stream_seed(*stream_key)
+    # a numpy scalar: numpy 1.x compares uint64 with a Python int above 2**63
+    # as float64, which would move the threshold
+    threshold = np.uint64(drop_threshold(p))
+    for start in range(0, values.size, CHUNK):
+        block = values[start : start + CHUNK]
+        drop = uniform_stream(stream, block.size, start) < threshold
+        block /= 1.0 - p
+        # putmask, not block[drop] = 0.0: the boolean-index assignment is
+        # about a third slower on masks this dense
+        np.putmask(block, drop, 0.0)
 
 
 def _walk(

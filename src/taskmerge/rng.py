@@ -1,21 +1,21 @@
 """Counter-based deterministic random streams.
 
-The drop-and-rescale transform needs a per-element uniform draw that is
+The drop-and-rescale transform needs a per-element random draw that is
 reproducible across platforms and independent of evaluation order, so we use
 SplitMix64 keyed by (seed, task index, tensor name) rather than any stateful
 library generator. The i-th output of SplitMix64 is a pure function of
 ``seed + (i+1)*GAMMA``, so a stream can be evaluated in any blocking.
 
-``uniform_stream`` evaluates it in chunks of ``CHUNK`` elements: each chunk is
-mixed in place in two reused uint64 scratch arrays small enough to stay in
-the L2 cache, and converted straight into the caller's output. The
-conversion splits each draw ``z`` into 32-bit halves, ``hi * 2**-32 +
-lo * 2**-64``: both terms are exact in float64 and their sum rounds once, so
-the result equals ``float64(z) * 2**-64`` bit for bit, while numpy converts
-the halves with its fast int64 loop instead of its slow uint64 one.
+``uniform_stream`` returns the raw 64-bit draws, mixed in place ``CHUNK``
+at a time; no draw is ever converted to a real. A draw ``z`` stands for the
+uniform ``float64(z) * 2**-64``, and DARE drops an element iff that uniform
+is below p. The conversion is monotone in ``z``, so the same test is the
+integer compare ``z < drop_threshold(p)``, exact for every p in [0, 1).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,9 +24,12 @@ _MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 
 # Draws per chunk of uniform_stream. A chunk's working set (the step table,
-# two uint64 scratch arrays and the float64 output slice) is 512 KiB, which
+# the output slice and one scratch array, all uint64) is 384 KiB, which
 # stays in a 2 MiB L2 cache.
 CHUNK = 1 << 14
+
+# SplitMix64 state increments of the draws of one chunk: (j + 1) * GAMMA
+_STEPS = np.arange(1, CHUNK + 1, dtype=np.uint64) * np.uint64(GAMMA)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -59,34 +62,40 @@ def _splitmix64_mix(z: np.ndarray, tmp: np.ndarray) -> None:
 
 
 def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Draws ``offset .. offset+count-1`` of the SplitMix64 stream as uniforms
-    in [0, 1]: draw / 2**64 as 64-bit reals.
+    """Draws ``offset .. offset+count-1`` of the SplitMix64 stream, as uint64.
 
-    The range is closed: draw / 2**64 rounds to nearest, so every draw
-    >= 2**64 - 1024 becomes exactly 1.0. DARE keeps an element iff
-    ``u >= p`` with ``p < 1``, so such a draw is kept either way.
-
-    The stream is computed ``CHUNK`` draws at a time into one float64 array
-    of *count* elements; the only other memory is three uint64 arrays of at
-    most ``CHUNK`` elements (the step table and two scratch arrays). Each draw ``z`` is converted as
-    ``(z >> 32) * 2**-32 + (z & 0xFFFFFFFF) * 2**-64``, which is exact up to
-    the final rounding and so equals ``float64(z) * 2**-64``.
+    Draw ``z`` stands for the uniform ``float64(z) * 2**-64``; compare draws
+    with ``drop_threshold(p)`` rather than converting them. That uniform is
+    exactly 1.0 for every draw >= 2**64 - 1024, and the threshold accounts
+    for such rounding, so there is no float range to check. The draws are
+    mixed ``CHUNK`` at a time in the output array itself; the only other
+    memory is one uint64 scratch array of at most ``CHUNK`` elements.
     """
-    out = np.empty(count, dtype=np.float64)
-    size = min(count, CHUNK)
-    steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(GAMMA)
-    z = np.empty(size, dtype=np.uint64)
-    tmp = np.empty(size, dtype=np.uint64)
+    out = np.empty(count, dtype=np.uint64)
+    tmp = np.empty(min(count, CHUNK), dtype=np.uint64)
     for start in range(0, count, CHUNK):
         m = min(CHUNK, count - start)
-        zc, tc, oc = z[:m], tmp[:m], out[start : start + m]
+        zc = out[start : start + m]
         # state of draw offset+start+j is seed + (offset+start+j+1)*GAMMA
-        np.add(steps[:m], np.uint64((seed + (offset + start) * GAMMA) & _MASK64), out=zc)
-        _splitmix64_mix(zc, tc)
-        np.right_shift(zc, np.uint64(32), out=tc)
-        np.multiply(tc.view(np.int64), 2.0**-32, out=oc)
-        zc &= np.uint64(0xFFFFFFFF)
-        lo = tc.view(np.float64)
-        np.multiply(zc.view(np.int64), 2.0**-64, out=lo)
-        oc += lo
+        np.add(_STEPS[:m], np.uint64((seed + (offset + start) * GAMMA) & _MASK64), out=zc)
+        _splitmix64_mix(zc, tmp[:m])
     return out
+
+
+def drop_threshold(p: float) -> int:
+    """The smallest draw ``z`` whose uniform ``float64(z) * 2**-64`` is >= p.
+
+    So ``z < drop_threshold(p)`` iff ``float64(z) * 2**-64 < p``, for every
+    p in [0, 1]. The bound is not ``ceil(p * 2**64)``: above 2**53 a float64
+    stands for every integer that rounds to it, so draws down to the midpoint
+    with the next float below count too (for p = 0.9, 1,023 more draws).
+    """
+    target = p * 2.0**64  # exact: scaling by a power of two
+    if target <= 2.0**53:
+        # every integer up to 2**53 converts exactly
+        return math.ceil(target)
+    below = math.nextafter(target, 0.0)
+    # both are even integers, so their midpoint is an integer; a draw on the
+    # midpoint rounds half to even, which may land on either float
+    mid = (int(below) + int(target)) // 2
+    return mid if float(mid) >= target else mid + 1

@@ -157,8 +157,12 @@ class TestCoeffs:
             ("weight-average", {"tasks": ["a", "b"], "sq_norms": [1.0]}),
             ("weight-average", {"tasks": "ab", "sq_norms": [1.0, 2.0]}),
             ("metagpt", {"tasks": ["a", "a"], "sq_norms": [1.0, 2.0]}),
+            ("metagpt", {"tasks": ["a", "b"], "sq_norms": [float("nan"), 1.0]}),
+            ("metagpt", {"tasks": ["a", "b"], "sq_norms": [float("inf"), 1.0]}),
+            ("weight-average", {"tasks": ["a", "b"], "sq_norms": [10**400, 1.0]}),
         ],
-        ids=["norms_longer", "norms_shorter", "tasks_string", "duplicate_ids"],
+        ids=["norms_longer", "norms_shorter", "tasks_string", "duplicate_ids",
+             "nan_norm", "infinite_norm", "huge_int_norm"],
     )
     def test_malformed_stats_exit_1(self, capsys, tmp_path, method, data):
         stats = tmp_path / "stats.json"
@@ -167,6 +171,20 @@ class TestCoeffs:
         assert code == 1
         assert out == ""
         assert err.startswith("error: stats file needs")
+
+    def test_norm_sum_overflow_exit_2(self, capsys, tmp_path):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps({"tasks": ["a", "b"], "sq_norms": [1e308, 1e308]}))
+        code, out, err = run_cli(capsys, "coeffs", "--stats", str(stats))
+        assert (code, out) == (2, "")
+        assert "float64 range" in err
+
+    def test_stats_not_utf8_exit_1(self, capsys, tmp_path):
+        stats = tmp_path / "stats.json"
+        stats.write_bytes(b"\xff" + json.dumps({"tasks": ["a"], "sq_norms": [1.0]}).encode())
+        code, out, err = run_cli(capsys, "coeffs", "--stats", str(stats))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: stats file is not valid JSON")
 
     def test_degenerate_stats_exit_2(self, capsys, tmp_path):
         stats = tmp_path / "stats.json"
@@ -216,6 +234,7 @@ class TestMerge:
             ("ties_density", True),
             ("base", 5),
             ("output", 7),
+            pytest.param("fixed_lambda", 10**400, id="fixed_lambda-huge_int"),
         ],
     )
     def test_mistyped_field_exits_1(self, capsys, tmp_path, trio, field, value):
@@ -248,6 +267,19 @@ class TestMerge:
         recipe.write_text("{nope")
         code, _, _ = run_cli(capsys, "merge", "--recipe", str(recipe))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda raw: b"\xff" + raw, lambda raw: b"[" * 200_000 + raw],
+        ids=["not_utf8", "deep_nesting"],
+    )
+    def test_undecodable_recipe_exits_1(self, capsys, tmp_path, trio, damage):
+        recipe, out_path = self.write_recipe(tmp_path, trio)
+        Path(recipe).write_bytes(damage(Path(recipe).read_bytes()))
+        code, out, err = run_cli(capsys, "merge", "--recipe", recipe)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: recipe is not valid JSON")
+        assert not Path(out_path).exists()
 
 
 class TestVerify:

@@ -50,6 +50,15 @@ class TestClosedForm:
         with pytest.raises(ValidationError, match="degenerate"):
             metagpt_coefficients(stats_of([1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "norms,match",
+        [([math.nan, 1.0], "non-finite"), ([1.0, math.inf], "non-finite"),
+         ([1e308, 1e308], "float64 range")],
+    )
+    def test_unusable_norms_rejected(self, norms, match):
+        with pytest.raises(ValidationError, match=match):
+            metagpt_coefficients(stats_of(norms))
+
     def test_no_tasks_rejected(self):
         with pytest.raises(ValidationError):
             metagpt_coefficients(TaskVectorStats(task_ids=[], sq_norms=[]))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +131,7 @@ class TestDare:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1]),
+        n=st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]),
         p=st.sampled_from(_P),
         seed=st.integers(0, 2**64 - 1),
         fill=st.integers(0, 2**32 - 1),
@@ -144,6 +145,17 @@ class TestDare:
         dare_transform(v, p, (seed, 3, "layer.0.w"))
         expect = np.where(dare_mask_dense(seed, 3, "layer.0.w", n, p), v0 / (1 - p), 0.0)
         assert v.tobytes() == expect.tobytes()
+
+    def test_scratch_is_a_small_fraction_of_the_array(self):
+        # the draws and the drop mask live one block at a time
+        v = np.random.default_rng(5).standard_normal(1 << 20)
+        tracemalloc.start()
+        try:
+            dare_transform(v, 0.9, (11, 0, "w"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * v.nbytes
 
     def test_unbiased_over_many_seeds(self):
         # mean over 1e5 independent streams of dare([1.0], 0.5)
