@@ -61,14 +61,19 @@ def metagpt_coefficients(stats: TaskVectorStats) -> CoefficientSet:
     """Norm-proportional closed form; rejects degenerate (zero-norm) tasks.
 
     A zero task vector means the "fine-tuned" model is the base itself;
-    assigning it lambda = 0 would hide a recipe error, so it is refused.
+    assigning it lambda = 0 would hide a recipe error, so it is refused, as
+    are a negative squared norm and one so small beside the total that its
+    lambda underflows to 0. Each error names the tasks at fault.
     """
     if stats.num_tasks == 0:
         raise ValidationError("no tasks")
     sq = [float(v) for v in stats.sq_norms]
     if not all(math.isfinite(v) for v in sq):
         raise ValidationError(f"non-finite squared norm: {sq}")
-    zero = [stats.task_ids[i] for i, v in enumerate(sq) if v <= 0.0]
+    negative = [stats.task_ids[i] for i, v in enumerate(sq) if v < 0.0]
+    if negative:
+        raise ValidationError(f"negative squared norm (a norm is never below 0): {negative}")
+    zero = [stats.task_ids[i] for i, v in enumerate(sq) if v == 0.0]
     if zero:
         raise ValidationError(f"degenerate task vector (zero norm): {zero}")
     try:
@@ -76,6 +81,12 @@ def metagpt_coefficients(stats: TaskVectorStats) -> CoefficientSet:
     except OverflowError as e:
         raise ValidationError("squared norms sum past the float64 range") from e
     lambdas = [v / total for v in sq]
+    underflow = [stats.task_ids[i] for i, v in enumerate(lambdas) if v == 0.0]
+    if underflow:
+        raise ValidationError(
+            f"coefficient underflows to 0 (squared norm too small beside the total "
+            f"{total!r}): {underflow}"
+        )
     return CoefficientSet(
         task_ids=list(stats.task_ids),
         lambdas=lambdas,

@@ -25,8 +25,11 @@ peaks run higher. In float64 buffers of the largest tensor, on the
 benchmark's inputs: about 3.26 with no transform, for T = 1 and T = 4 alike
 (three working buffers plus one BF16 read), about 3.54 with DARE (T = 8,
 F32: three working buffers plus one F32 read; its draws and drop mask take
-one block at a time), and about 8.25 with TIES (T = 4), which holds a copy
-of each trimmed diff.
+one block at a time), and about 5.30 with TIES (T = 4: the base and one
+diff buffer per task plus one BF16 read; the signs take one block at a
+time). TIES selects once per (task, tensor): the walk that trims a diff
+first records the selection, and a later walk rebuilds the same trim from
+it with one compare per element and no partition.
 Everything is deterministic: re-running a recipe with the same seed
 produces byte-identical output files and reports.
 """
@@ -153,7 +156,10 @@ class MergeRecipe:
         for entry in raw_tasks:
             if not isinstance(entry, dict) or set(entry) != {"id", "path"}:
                 raise RecipeError(f"bad task entry: {entry!r}")
-            tasks.append(TaskSpec(str(entry["id"]), str(entry["path"])))
+            for key in ("id", "path"):
+                if not isinstance(entry[key], str):
+                    raise RecipeError(f"task {key} must be a string, got {entry[key]!r}")
+            tasks.append(TaskSpec(entry["id"], entry["path"]))
         kwargs = {k: v for k, v in data.items() if k not in ("tasks",)}
         kwargs["tasks"] = tasks
         try:
@@ -212,7 +218,7 @@ class BufferCounter:
         self.live -= n
 
 
-def ties_trim(values: np.ndarray, density: float) -> None:
+def ties_trim(values: np.ndarray, density: float) -> tuple[float, int] | None:
     """Keep the ceil(density * n) largest-magnitude elements of the flat
     float64 array *values* and zero the rest, in place.
 
@@ -222,21 +228,52 @@ def ties_trim(values: np.ndarray, density: float) -> None:
     of a stable descending sort by magnitude, so the result does not depend
     on how the partition breaks ties. Dropped elements become +0.0; kept
     ones, -0.0 included, are left as they are. Values must be finite, as
-    every tensor the engine reads is. Density 1 changes nothing.
+    every tensor the engine reads is.
+
+    Returns the selection ``(thr, last)``, where ``last`` is the flat index
+    of the last kept tie: ``_zero_unselected(copy, thr, last)`` trims an
+    unchanged copy of *values* to the same bytes without a partition. When
+    ceil(density * n) >= n nothing is dropped and the result is None.
     """
     if not 0.0 < density <= 1.0:
         raise ValidationError(f"density out of range (0, 1]: {density}")
     n = values.size
     k = math.ceil(density * n)
     if k >= n:
-        return
+        return None
     mag = np.abs(values)
-    thr = np.partition(mag, n - k)[n - k]
-    keep = mag > thr
-    need = k - np.count_nonzero(keep)
-    keep[np.flatnonzero(mag == thr)[:need]] = True
+    mag.partition(n - k)
+    thr = float(mag[n - k])
+    # every magnitude above thr sits after position n - k, so the slots
+    # left for ties are counted without a full-size mask
+    need = k - np.count_nonzero(mag[n - k + 1 :] > thr)
     del mag
-    np.putmask(values, ~keep, 0.0)
+    last = -1
+    scratch = np.empty(min(CHUNK, n))
+    for start in range(0, n, CHUNK):
+        block = values[start : start + CHUNK]
+        mag = np.abs(block, out=scratch[: block.size])
+        ties = np.flatnonzero(mag == thr)
+        if ties.size >= need:
+            last = start + int(ties[need - 1])
+            break
+        need -= ties.size
+    _zero_unselected(values, thr, last)
+    return thr, last
+
+
+def _zero_unselected(values: np.ndarray, thr: float, last: int) -> None:
+    """Zero, in place, what the selection ``(thr, last)`` of ``ties_trim``
+    drops: ``|v| < thr`` at flat indices up to *last* and ``|v| <= thr``
+    after it. One ``CHUNK``-element block of magnitudes at a time."""
+    scratch = np.empty(min(CHUNK, values.size))
+    for start in range(0, values.size, CHUNK):
+        block = values[start : start + CHUNK]
+        mag = np.abs(block, out=scratch[: block.size])
+        # ties up to last are kept; split is where the later ones start
+        split = min(max(last + 1 - start, 0), block.size)
+        np.putmask(block[:split], mag[:split] < thr, 0.0)
+        np.putmask(block[split:], mag[split:] <= thr, 0.0)
 
 
 def dare_transform(values: np.ndarray, p: float, stream_key: tuple[int, int, str]) -> None:
@@ -274,6 +311,7 @@ def _walk(
     recipe: MergeRecipe,
     counter: BufferCounter,
     work: tuple[np.ndarray, np.ndarray],
+    selections: dict[tuple[int, str], tuple[float, int] | None],
     norms: tuple[StatsAccumulator, StatsAccumulator | None] | None = None,
     combine: tuple[list[float], CheckpointWriter] | None = None,
 ) -> None:
@@ -283,14 +321,19 @@ def _walk(
       - norms (raw, transformed): squared norms of the diff and of the
         transformed diff before it is scaled (None: no transform);
       - combine (lambdas, writer): writes base + sum_t lambda_t * tv_t. The
-        plain sum consumes one diff at a time. TIES holds a copy of each of
-        a tensor's diffs for the sign election: T + 2 buffers (base, T
-        vectors, signs).
+        plain sum consumes one diff at a time. TIES holds each of a
+        tensor's trimmed diffs for the sign election: T + 2 buffers (base,
+        T vectors, signs), though the signs take one block at a time.
 
     The base and each diff live in the heads of the *work* buffers (base,
     diff), which every tensor reuses, and the transform works on the diff
     in place; the plain sum lives in a buffer of the same size made once per
-    walk. TIES needs no sum buffer: it adds onto the base.
+    walk. TIES needs no sum buffer, since it adds onto the base, but decodes
+    task t's diff into a buffer of its own, the diff buffer serving task 0.
+
+    *selections* maps (t, name) to what ``ties_trim`` selected. The first
+    walk over a pair trims and records it; a later walk rebuilds the same
+    trim from it with no partition.
     """
     raw, transformed = norms or (None, None)
     lambdas, writer = combine or (None, None)
@@ -298,6 +341,8 @@ def _walk(
     plain = writer is not None and not ties
     base_work, diff_work = work
     sum_work = working_buffer(base) if plain else None
+    if ties:
+        diff_work = [diff_work] + [working_buffer(base) for _ in models[1:]]
     for name in sorted(base.index):
         base_buf = read_tensor(base, name, out=base_work)
         out = base_buf.values
@@ -312,38 +357,63 @@ def _walk(
             if raw is not None:
                 raw.add_partial(t, diff)
             if recipe.transform == "ties":
-                ties_trim(diff, recipe.ties_density)
+                if (t, name) not in selections:
+                    selections[t, name] = ties_trim(diff, recipe.ties_density)
+                elif selections[t, name] is not None:
+                    _zero_unselected(diff, *selections[t, name])
             elif recipe.transform == "dare":
                 dare_transform(diff, recipe.dare_p, (recipe.seed, t, name))
             if transformed is not None:
                 transformed.add_partial(t, diff)
             if ties:
-                # the next diff is decoded into the same buffer
-                held.append((lambdas[t], diff.copy()))
+                held.append((lambdas[t], diff))
                 continue
             if plain:
                 diff *= lambdas[t]
                 out += diff
             counter.release()
         if held:
-            # sign election, then the disjoint merge onto the base buffer
-            signs = np.zeros_like(out)
-            counter.acquire()
-            for lam, v in held:
-                signs += lam * v
-            np.sign(signs, out=signs)
-            for lam, v in held:
-                match = (np.sign(v) == signs) & (signs != 0.0)
-                v *= lam
-                np.putmask(v, ~match, 0.0)
-                out += v
-                counter.release()
-            counter.release()  # signs
+            counter.acquire()  # signs, counted as a buffer though made per block
+            _elect_and_merge(out, held)
+            counter.release(len(held) + 1)
             held.clear()  # kept to the next tensor, they raised TIES peak RSS 11%
         if writer is not None:
             writer.write(TensorBuffer(name, base_buf.shape, out))
         # TIES accumulates onto the base buffer itself; the plain sum onto a copy
         counter.release(2 if plain else 1)
+
+
+def _elect_and_merge(out: np.ndarray, held: list[tuple[float, np.ndarray]]) -> None:
+    """TIES sign election and disjoint merge of the trimmed diffs *held*
+    (lambda_t, tv_t) onto *out*, one ``CHUNK``-element block at a time.
+
+    Per element, in task order: signs = sum_t lambda_t * tv_t from zero,
+    then out += lambda_t * tv_t wherever sign(tv_t) equals the nonzero sign
+    of that sum. Every step is elementwise, so the blocking leaves the
+    bytes as they are. The diffs are scaled and zeroed in place.
+    """
+    m = min(CHUNK, out.size)
+    signs_buf, tmp_buf = np.empty(m), np.empty(m)
+    hit_buf, nonzero_buf = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    for start in range(0, out.size, CHUNK):
+        stop = min(start + CHUNK, out.size)
+        s, tmp = signs_buf[: stop - start], tmp_buf[: stop - start]
+        hit, nonzero = hit_buf[: stop - start], nonzero_buf[: stop - start]
+        s.fill(0.0)
+        for lam, v in held:
+            np.multiply(lam, v[start:stop], out=tmp)
+            s += tmp
+        np.sign(s, out=s)
+        np.not_equal(s, 0.0, out=nonzero)
+        for lam, v in held:
+            block = v[start:stop]
+            np.sign(block, out=tmp)
+            np.equal(tmp, s, out=hit)
+            hit &= nonzero
+            block *= lam
+            np.logical_not(hit, out=hit)
+            np.putmask(block, hit, 0.0)
+            out[start:stop] += block
 
 
 def run_recipe(
@@ -374,12 +444,13 @@ def run_recipe(
     norms = (raw, transformed)
     counter = BufferCounter()
     work = (working_buffer(base), working_buffer(base))
+    selections: dict[tuple[int, str], tuple[float, int] | None] = {}
     coeffs = coeffs_override
     if coeffs is None and recipe.method in NORM_FREE_METHODS:
         coeffs = NORM_FREE_METHODS[recipe.method](task_ids, recipe.fixed_lambda)
     if coeffs is None:
         # the coefficients read norms: take them all before combining anything
-        _walk(base, models, recipe, counter, work, norms=norms)
+        _walk(base, models, recipe, counter, work, selections, norms=norms)
         use_raw = recipe.norm_source == "raw" or transformed is None
         coeffs = NORM_METHODS[recipe.method]((raw if use_raw else transformed).finalize())
         norms = None
@@ -390,7 +461,10 @@ def run_recipe(
     ]
     writer = CheckpointWriter(recipe.output, specs, metadata=base.metadata)
     try:
-        _walk(base, models, recipe, counter, work, norms=norms, combine=(coeffs.lambdas, writer))
+        _walk(
+            base, models, recipe, counter, work, selections,
+            norms=norms, combine=(coeffs.lambdas, writer),
+        )
     except Exception:
         writer.abort()
         raise

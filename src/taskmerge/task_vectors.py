@@ -95,20 +95,22 @@ def task_diffs(
     name: str,
     base_values: np.ndarray,
     models: list[CheckpointHandle],
-    out: np.ndarray | None = None,
+    out: np.ndarray | list[np.ndarray] | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (t, model_t[name] - base) for each model that holds *name*.
 
     Each diff is taken in place on its freshly decoded array, and the next
     model is read only when the caller asks for it, so one diff at a time is
     made; a model lacking the name is skipped (it contributes zero). Given
-    *out*, every diff is decoded into its head, so each yielded diff is
-    overwritten by the next one: the caller must be done with it, or have
-    copied it, before asking for the next.
+    one buffer *out*, every diff is decoded into its head, so each yielded
+    diff is overwritten by the next one: the caller must be done with it
+    before asking for the next. Given a list, task t's diff is decoded into
+    ``out[t]`` and lives until the next tensor's.
     """
     for t, model in enumerate(models):
         if name in model.index:
-            diff = read_tensor(model, name, out=out).values
+            buf = out[t] if isinstance(out, list) else out
+            diff = read_tensor(model, name, out=buf).values
             diff -= base_values
             yield t, diff
 

@@ -186,6 +186,17 @@ class TestCoeffs:
         assert (code, out) == (1, "")
         assert err.startswith("error: stats file is not valid JSON")
 
+    @pytest.mark.parametrize(
+        "norms,match",
+        [([1e-320, 1e300], "underflows to 0"), ([-1.0, 2.0], "negative squared norm")],
+    )
+    def test_unusable_norm_names_its_task_exit_2(self, capsys, tmp_path, norms, match):
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps({"tasks": ["first", "second"], "sq_norms": norms}))
+        code, out, err = run_cli(capsys, "coeffs", "--stats", str(stats))
+        assert (code, out) == (2, "")
+        assert match in err and "['first']" in err
+
     def test_degenerate_stats_exit_2(self, capsys, tmp_path):
         stats = tmp_path / "stats.json"
         stats.write_text(json.dumps({"tasks": ["a"], "sq_norms": [0.0]}))
@@ -244,6 +255,16 @@ class TestMerge:
         assert out == ""
         assert err.startswith("error: ") and field in err
         assert not (tmp_path / "out.st").exists()
+
+    @pytest.mark.parametrize("key,value", [("id", 5), ("path", None)])
+    def test_non_string_task_field_exits_1(self, capsys, tmp_path, trio, key, value):
+        _, m1, _ = trio
+        task = {"id": "t1", "path": m1} | {key: value}
+        recipe, out_path = self.write_recipe(tmp_path, trio, tasks=[task])
+        code, out, err = run_cli(capsys, "merge", "--recipe", recipe)
+        assert (code, out) == (1, "")
+        assert f"task {key} must be a string" in err
+        assert not Path(out_path).exists()
 
     def test_missing_model_file_exits_2(self, capsys, tmp_path, trio):
         base, m1, _ = trio

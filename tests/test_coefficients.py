@@ -50,6 +50,21 @@ class TestClosedForm:
         with pytest.raises(ValidationError, match="degenerate"):
             metagpt_coefficients(stats_of([1.0, 0.0]))
 
+    def test_negative_norm_named(self):
+        with pytest.raises(ValidationError, match=r"negative squared norm.*\['t0'\]"):
+            metagpt_coefficients(stats_of([-1.0, 2.0]))
+
+    def test_negative_zero_norm_is_degenerate(self):
+        with pytest.raises(ValidationError, match=r"degenerate task vector \(zero norm\): \['t1'\]"):
+            metagpt_coefficients(stats_of([1.0, -0.0]))
+
+    @pytest.mark.parametrize("norms,bad", [([1e-320, 1e300], "['t0']"),
+                                           ([1e300, 5e-324, 1e-320, 1.0], "['t1', 't2']")])
+    def test_underflowing_coefficient_named(self, norms, bad):
+        with pytest.raises(ValidationError, match="underflows to 0") as err:
+            metagpt_coefficients(stats_of(norms))
+        assert str(err.value).endswith(bad)
+
     @pytest.mark.parametrize(
         "norms,match",
         [([math.nan, 1.0], "non-finite"), ([1.0, math.inf], "non-finite"),

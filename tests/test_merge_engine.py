@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -28,9 +29,18 @@ from dense_reference import dare_mask_dense, reference_merge, trim_dense
 
 
 def trimmed(values, density):
-    """ties_trim on a float64 copy of *values*; the kernel works in place."""
+    """ties_trim on a float64 copy of *values*; the kernel works in place.
+
+    The selection it returns must trim a fresh copy to the same bytes, as
+    the merge walk does when a norms walk already trimmed the diff."""
     v = np.array(values, dtype=np.float64)
-    assert ties_trim(v, density) is None
+    selection = ties_trim(v, density)
+    fresh = np.array(values, dtype=np.float64)
+    if selection is None:
+        assert math.ceil(density * v.size) >= v.size
+    else:
+        merge_engine._zero_unselected(fresh, *selection)
+    assert fresh.tobytes() == v.tobytes()
     return v
 
 
@@ -67,8 +77,6 @@ class TestTiesTrim:
         st.floats(0.01, 1.0),
     )
     def test_count_and_magnitude_properties(self, values, density):
-        import math
-
         v = np.array(values)
         out = trimmed(v, density)
         k = math.ceil(density * v.size)
@@ -81,8 +89,6 @@ class TestTiesTrim:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_bytes_match_dense_reference_under_ties(self, data):
-        import math
-
         # few distinct magnitudes, so many elements tie at the threshold
         n = data.draw(st.integers(1, 2000))
         quantized = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
@@ -92,6 +98,45 @@ class TestTiesTrim:
         assert math.ceil(density * n) == k
         out = trimmed(v, density)
         assert out.tobytes() == trim_dense(v, density).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]),
+        fill=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, "n-1"]) | st.integers(1, 2 * CHUNK + 1),
+    )
+    def test_blocked_selection_matches_dense_reference_under_ties(self, n, fill, k):
+        # few distinct magnitudes over several blocks: the kept ties end
+        # anywhere, on a block boundary included
+        k = n - 1 if k == "n-1" else min(k, n)
+        gen = np.random.default_rng(fill)
+        v = gen.choice([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0], n)
+        density = (k - 0.5) / n
+        assert math.ceil(density * n) == k
+        out = trimmed(v, density)
+        assert out.tobytes() == trim_dense(v, density).tobytes()
+
+    @pytest.mark.parametrize("k", [5, CHUNK, CHUNK + 1, 2 * CHUNK])
+    def test_last_kept_tie_inside_a_block_and_on_its_boundaries(self, k):
+        # every magnitude ties, so the first k elements are kept and the
+        # last kept tie is k - 1: inside block 0, the last element of block
+        # 0, the first of block 1, the last of block 1
+        n = 2 * CHUNK + 1
+        v = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+        density = (k - 0.5) / n
+        fresh = v.copy()
+        assert ties_trim(v, density) == (1.0, k - 1)
+        assert v.tobytes() == trim_dense(fresh, density).tobytes()
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_selection_with_no_kept_tie(self, n):
+        # last = -1 keeps only the magnitudes above thr; last = n - 1 keeps
+        # every tie as well
+        v = np.random.default_rng(n).choice([0.0, -0.0, 0.5, -1.0, 1.0, -2.0], n)
+        for last, keep in ((-1, np.abs(v) > 1.0), (n - 1, np.abs(v) >= 1.0)):
+            out = v.copy()
+            merge_engine._zero_unselected(out, 1.0, last)
+            assert out.tobytes() == np.where(keep, v, 0.0).tobytes()
 
 
 class TestDare:
@@ -231,6 +276,60 @@ class TestTiesCombine:
     def test_hand_traced_columns(self, tmp_path, case):
         columns, lambdas, expect = TIES_COLUMNS[case]
         assert ties_merge_columns(tmp_path, columns, lambdas) == expect
+
+
+def ties_family(tmp_path, shapes, tasks=4, dtype="BF16"):
+    rng = np.random.default_rng(23)
+    base = {n: rng.standard_normal(s) for n, s in shapes.items()}
+    tvs = [{n: 0.1 * (1 + t) * rng.standard_normal(s) for n, s in shapes.items()}
+           for t in range(tasks)]
+    base_p, model_ps = family(tmp_path, base, tvs, dtype=dtype)
+    return [TaskSpec(f"t{i}", p) for i, p in enumerate(model_ps)], base_p
+
+
+class TestTiesWalk:
+    def test_trim_selects_once_per_task_and_tensor(self, tmp_path, monkeypatch):
+        calls = []
+        real_trim = merge_engine.ties_trim
+
+        def counting_trim(values, density):
+            calls.append(values.size)
+            return real_trim(values, density)
+
+        monkeypatch.setattr(merge_engine, "ties_trim", counting_trim)
+        shapes = {"a": (40, 30), "b": (CHUNK + 9,), "c": (7,)}
+        tasks, base_p = ties_family(tmp_path, shapes, tasks=3, dtype="F32")
+        for method in ("metagpt", "weight_average"):
+            recipe = MergeRecipe(
+                base=base_p, tasks=tasks, output=str(tmp_path / f"{method}.st"),
+                method=method, transform="ties", ties_density=0.2,
+            )
+            handle, _ = run_recipe(recipe)
+            # the combine walk of metagpt replays the norms walk's selections
+            assert len(calls) == len(tasks) * len(shapes)
+            calls.clear()
+            expect, _ = reference_merge(base_p, [t.path for t in tasks], method=method,
+                                        transform="ties", ties_density=0.2)
+            for name in shapes:
+                np.testing.assert_allclose(read_tensor(handle, name).values, expect[name],
+                                           atol=1e-6)
+
+    def test_traced_peak_within_t_plus_two_buffers(self, tmp_path):
+        # T = 4 BF16 TIES merge: the base and four trimmed diffs are the only
+        # full-size buffers; the signs take one block at a time
+        n = 1 << 20
+        tasks, base_p = ties_family(tmp_path, {"emb": (1024, 1024), "w": (256, 64)})
+        recipe = MergeRecipe(
+            base=base_p, tasks=tasks, output=str(tmp_path / "out.st"),
+            method="metagpt", transform="ties", ties_density=0.2,
+        )
+        tracemalloc.start()
+        try:
+            run_recipe(recipe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (len(tasks) + 2) * 8 * n
 
 
 _W = np.random.default_rng(0).standard_normal((3, 50))
@@ -641,6 +740,12 @@ class TestRecipeSchema:
         spec["tasks"] = [{"id": "a", "path": "1.st"}, {"id": "a", "path": "2.st"}]
         with pytest.raises(RecipeError, match="unique"):
             MergeRecipe.from_dict(spec)
+
+    @pytest.mark.parametrize("entry", [{"id": 5, "path": "m.st"}, {"id": "a", "path": None},
+                                       {"id": ["a"], "path": "m.st"}])
+    def test_non_string_task_id_or_path(self, entry):
+        with pytest.raises(RecipeError, match="task (id|path) must be a string"):
+            MergeRecipe.from_dict(self.valid() | {"tasks": [entry]})
 
     def test_bad_seed(self):
         with pytest.raises(RecipeError, match="seed"):
