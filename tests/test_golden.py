@@ -1,9 +1,10 @@
 """Byte identity of merges and statistics against recorded digests.
 
-Each merge case runs a fixed recipe through ``run_recipe`` and hashes the
-canonical report, with the recipe's paths replaced by file names, followed
-by the merged file's bytes. Each statistics case hashes the exact bits of
-``compute_stats``. A digest that moves means some output changed by at
+Each merge case runs a fixed recipe through ``run_recipe`` and records two
+digests: one of the merged file's bytes, and one of the canonical report
+with the recipe's paths replaced by file names. A report format change
+then moves only report digests. Each statistics case hashes the exact bits
+of ``compute_stats``. A digest that moves means some output changed by at
 least one byte. After an intended format change, record new digests with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
@@ -62,8 +63,8 @@ def write_family(root: Path, dtype: str):
     return base_p, model_ps
 
 
-def merge_digest(root: Path, dtype: str, method: str, transform: str,
-                 norm_source: str, output_dtype: str) -> str:
+def merge_digests(root: Path, dtype: str, method: str, transform: str,
+                  norm_source: str, output_dtype: str) -> dict[str, str]:
     base_p, model_ps = write_family(root, dtype)
     recipe = MergeRecipe(
         base=base_p,
@@ -84,9 +85,10 @@ def merge_digest(root: Path, dtype: str, method: str, transform: str,
     r["base"], r["output"] = os.path.basename(r["base"]), os.path.basename(r["output"])
     for task in r["tasks"]:
         task["path"] = os.path.basename(task["path"])
-    h = hashlib.sha256(report.to_json().encode("utf-8"))
-    h.update(Path(recipe.output).read_bytes())
-    return h.hexdigest()
+    return {
+        "file": hashlib.sha256(Path(recipe.output).read_bytes()).hexdigest(),
+        "report": hashlib.sha256(report.to_json().encode("utf-8")).hexdigest(),
+    }
 
 
 def stats_digest(root: Path, dtype: str, want_gram: bool) -> str:
@@ -113,7 +115,7 @@ def recorded():
 
 @pytest.mark.parametrize("case", MERGE_GRID, ids=case_id)
 def test_merge_bytes_match_recorded(tmp_path, recorded, case):
-    assert merge_digest(tmp_path / "family", *case) == recorded["merge"][case_id(case)]
+    assert merge_digests(tmp_path / "family", *case) == recorded["merge"][case_id(case)]
 
 
 @pytest.mark.parametrize("case", STATS_GRID, ids=case_id)
@@ -161,7 +163,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         out = {
             "merge": {
-                case_id(c): merge_digest(Path(tmp) / f"m{i}", *c)
+                case_id(c): merge_digests(Path(tmp) / f"m{i}", *c)
                 for i, c in enumerate(MERGE_GRID)
             },
             "stats": {
