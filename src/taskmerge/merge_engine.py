@@ -13,23 +13,26 @@ walks twice: norms only, then combine only. The norm-free methods and given
 coefficients fix lambda before any tensor is read, so their merge walks
 once, feeding both sinks, with the same norms and report.
 
-The engine counts the single-tensor buffers it holds (base, the per-task
-vectors for one name, one accumulator) and reports the peak of that count
-as ``peak_live_buffers <= T + 2``; memory never grows with total model
-size. The base, each diff and the plain sum are decoded or summed into
-working buffers allocated once per run at the size of the largest tensor,
-so their pages are faulted in once per run, not once per read; TIES and
-DARE transform the diff in place. The count leaves out the raw bytes of a
-read and the masks and magnitudes the transforms work from, so tracemalloc
-peaks run higher. In float64 buffers of the largest tensor, on the
-benchmark's inputs: about 3.26 with no transform, for T = 1 and T = 4 alike
-(three working buffers plus one BF16 read), about 3.54 with DARE (T = 8,
-F32: three working buffers plus one F32 read; its draws and drop mask take
-one block at a time), and about 5.30 with TIES (T = 4: the base and one
-diff buffer per task plus one BF16 read; the signs take one block at a
-time). TIES selects once per (task, tensor): the walk that trims a diff
-first records the selection, and a later walk rebuilds the same trim from
-it with one compare per element and no partition.
+Memory never grows with total model size. The base, each diff and the
+plain sum are decoded or summed into working buffers allocated once per run
+at the size of the largest tensor, so their pages are faulted in once per
+run, not once per read; TIES and DARE transform the diff in place, and
+their draws, masks and signs take one block at a time. Measured with
+tracemalloc in float64 buffers B of the largest tensor, for T tasks stored
+with s bytes per element (4 for F32, 2 for BF16), the peak is at most the
+figure below plus a per-block scratch of 1 MiB that does not grow with the
+model:
+  - no transform or DARE, any T: (3 + s/8) * B, the base, the diff and the
+    sum plus one stored copy from a raw read or an encoded write. At T = 1
+    that is s/8 of a buffer above T + 2;
+  - TIES with the closed form: max(3, T + 1 + s/8) * B. Combining holds the
+    base, the T trimmed diffs and one raw read; the norms walk holds the
+    base, one diff and the magnitudes the trim partitions;
+  - TIES with a norm-free method or given coefficients: (T + 2) * B, the
+    base and T diffs plus the magnitudes of the last one as it is trimmed.
+TIES selects once per (task, tensor): the walk that trims a diff first
+records the selection, and a later walk rebuilds the same trim from it
+with one compare per element and no partition.
 Everything is deterministic: re-running a recipe with the same seed
 produces byte-identical output files and reports.
 """
@@ -57,7 +60,6 @@ from .tensor_store import (
     validate_compatibility,
 )
 
-METHODS = COEFFICIENT_METHODS
 TRANSFORMS = ("none", "ties", "dare")
 NORM_SOURCES = ("raw", "transformed")
 OUTPUT_DTYPES = ("base", "F32")
@@ -93,7 +95,7 @@ class MergeRecipe:
         ids = [t.id for t in self.tasks]
         if len(set(ids)) != len(ids):
             raise RecipeError("task ids must be unique")
-        if self.method not in METHODS:
+        if self.method not in COEFFICIENT_METHODS:
             raise RecipeError(f"unknown method '{self.method}'")
         if self.transform not in TRANSFORMS:
             raise RecipeError(f"unknown transform '{self.transform}'")
@@ -179,7 +181,6 @@ class MergeReport:
     tensor_count: int
     skipped_names: list[str]
     missing_names: dict[str, list[str]]
-    peak_live_buffers: int
     wall_time_s: float = field(default=0.0, compare=False)
 
     def to_dict(self, include_timing: bool = False) -> dict:
@@ -190,7 +191,6 @@ class MergeReport:
             "tensor_count": self.tensor_count,
             "skipped_names": self.skipped_names,
             "missing_names": self.missing_names,
-            "peak_live_buffers": self.peak_live_buffers,
         }
         if self.transformed_sq_norms is not None:
             out["sq_norms"]["transformed"] = self.transformed_sq_norms
@@ -201,21 +201,6 @@ class MergeReport:
 
     def to_json(self, indent: int | None = None, include_timing: bool = False) -> str:
         return jsonutil.dumps(self.to_dict(include_timing), indent=indent)
-
-
-class BufferCounter:
-    """Tracks simultaneously live single-tensor buffers during a merge."""
-
-    def __init__(self):
-        self.live = 0
-        self.peak = 0
-
-    def acquire(self, n: int = 1) -> None:
-        self.live += n
-        self.peak = max(self.peak, self.live)
-
-    def release(self, n: int = 1) -> None:
-        self.live -= n
 
 
 def ties_trim(values: np.ndarray, density: float) -> tuple[float, int] | None:
@@ -244,10 +229,14 @@ def ties_trim(values: np.ndarray, density: float) -> tuple[float, int] | None:
     mag = np.abs(values)
     mag.partition(n - k)
     thr = float(mag[n - k])
-    # every magnitude above thr sits after position n - k, so the slots
-    # left for ties are counted without a full-size mask
-    need = k - np.count_nonzero(mag[n - k + 1 :] > thr)
-    del mag
+    # every magnitude above thr sits after position n - k. Less thr, those
+    # are the nonzeros there (a - thr == 0 only if a == thr for finite a),
+    # so the slots left for ties are counted with no mask. The tail is a
+    # view: both go, or it keeps |v| alive
+    tail = mag[n - k + 1 :]
+    tail -= thr
+    need = k - np.count_nonzero(tail)
+    del mag, tail
     last = -1
     scratch = np.empty(min(CHUNK, n))
     for start in range(0, n, CHUNK):
@@ -309,7 +298,6 @@ def _walk(
     base: CheckpointHandle,
     models: list[CheckpointHandle],
     recipe: MergeRecipe,
-    counter: BufferCounter,
     work: tuple[np.ndarray, np.ndarray],
     selections: dict[tuple[int, str], tuple[float, int] | None],
     norms: tuple[StatsAccumulator, StatsAccumulator | None] | None = None,
@@ -322,8 +310,8 @@ def _walk(
         transformed diff before it is scaled (None: no transform);
       - combine (lambdas, writer): writes base + sum_t lambda_t * tv_t. The
         plain sum consumes one diff at a time. TIES holds each of a
-        tensor's trimmed diffs for the sign election: T + 2 buffers (base,
-        T vectors, signs), though the signs take one block at a time.
+        tensor's trimmed diffs for the sign election, so the base and T
+        diffs are live together; the signs take one block at a time.
 
     The base and each diff live in the heads of the *work* buffers (base,
     diff), which every tensor reuses, and the transform works on the diff
@@ -346,14 +334,11 @@ def _walk(
     for name in sorted(base.index):
         base_buf = read_tensor(base, name, out=base_work)
         out = base_buf.values
-        counter.acquire()
         if plain:
             out = sum_work[: out.size]
             np.copyto(out, base_buf.values)
-            counter.acquire()
         held = []
         for t, diff in task_diffs(name, base_buf.values, models, out=diff_work):
-            counter.acquire()
             if raw is not None:
                 raw.add_partial(t, diff)
             if recipe.transform == "ties":
@@ -371,16 +356,11 @@ def _walk(
             if plain:
                 diff *= lambdas[t]
                 out += diff
-            counter.release()
         if held:
-            counter.acquire()  # signs, counted as a buffer though made per block
             _elect_and_merge(out, held)
-            counter.release(len(held) + 1)
             held.clear()  # kept to the next tensor, they raised TIES peak RSS 11%
         if writer is not None:
             writer.write(TensorBuffer(name, base_buf.shape, out))
-        # TIES accumulates onto the base buffer itself; the plain sum onto a copy
-        counter.release(2 if plain else 1)
 
 
 def _elect_and_merge(out: np.ndarray, held: list[tuple[float, np.ndarray]]) -> None:
@@ -442,7 +422,6 @@ def run_recipe(
     raw = StatsAccumulator(task_ids)
     transformed = StatsAccumulator(task_ids) if recipe.transform != "none" else None
     norms = (raw, transformed)
-    counter = BufferCounter()
     work = (working_buffer(base), working_buffer(base))
     selections: dict[tuple[int, str], tuple[float, int] | None] = {}
     coeffs = coeffs_override
@@ -450,7 +429,7 @@ def run_recipe(
         coeffs = NORM_FREE_METHODS[recipe.method](task_ids, recipe.fixed_lambda)
     if coeffs is None:
         # the coefficients read norms: take them all before combining anything
-        _walk(base, models, recipe, counter, work, selections, norms=norms)
+        _walk(base, models, recipe, work, selections, norms=norms)
         use_raw = recipe.norm_source == "raw" or transformed is None
         coeffs = NORM_METHODS[recipe.method]((raw if use_raw else transformed).finalize())
         norms = None
@@ -462,7 +441,7 @@ def run_recipe(
     writer = CheckpointWriter(recipe.output, specs, metadata=base.metadata)
     try:
         _walk(
-            base, models, recipe, counter, work, selections,
+            base, models, recipe, work, selections,
             norms=norms, combine=(coeffs.lambdas, writer),
         )
     except Exception:
@@ -480,7 +459,6 @@ def run_recipe(
         tensor_count=len(base.index),
         skipped_names=skipped,
         missing_names=report.missing_from(base, models, task_ids),
-        peak_live_buffers=counter.peak,
         wall_time_s=time.perf_counter() - t0,
     )
     return open_checkpoint(recipe.output), merge_report

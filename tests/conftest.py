@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from taskmerge import TensorBuffer, write_checkpoint
+
+# Headroom for the engine's per-block scratch (draws, masks, signs, codec
+# chunks). It does not grow with the model.
+SCRATCH = 1 << 20
 
 
 def write_ckpt(path, arrays, dtype="F32", metadata=None):
@@ -12,6 +18,30 @@ def write_ckpt(path, arrays, dtype="F32", metadata=None):
     ]
     write_checkpoint(str(path), tensors, metadata=metadata)
     return str(path)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def merge_peak_buffers(transform: str, tasks: int, stored_bytes: int, two_walks: bool) -> float:
+    """The documented traced peak of a merge, before SCRATCH, in float64
+    buffers of its largest tensor. *stored_bytes* per element: 4 for F32,
+    2 for BF16. *two_walks*: the closed form takes norms before combining."""
+    stored = stored_bytes / 8  # one raw read or encoded write
+    if transform != "ties":
+        return 3 + stored  # base, diff, sum
+    if two_walks:
+        # combining holds the base and T diffs; the norms walk the base,
+        # one diff and the magnitudes the trim partitions
+        return max(3, tasks + 1 + stored)
+    return tasks + 2  # one walk: base, T diffs, the last one's magnitudes
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ import pytest
 
 from taskmerge import CoefficientSet, MergeRecipe, TaskSpec, compute_stats, merge_engine
 from taskmerge import open_checkpoint, run_recipe, task_vectors
+from taskmerge.coefficients import COEFFICIENT_METHODS
 from taskmerge.tensor_store import _CHUNK
 
 from conftest import write_ckpt
@@ -34,7 +35,7 @@ DTYPES = ("F32", "BF16", "F16")
 MERGE_GRID = list(
     itertools.product(
         DTYPES,
-        merge_engine.METHODS,
+        COEFFICIENT_METHODS,
         merge_engine.TRANSFORMS,
         merge_engine.NORM_SOURCES,
         merge_engine.OUTPUT_DTYPES,

@@ -1,6 +1,6 @@
+import itertools
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from taskmerge import (
     ties_trim,
 )
 
-from conftest import write_ckpt
+from conftest import SCRATCH, merge_peak_buffers, traced_peak, write_ckpt
 from dense_reference import dare_mask_dense, reference_merge, trim_dense
 
 
@@ -138,6 +138,12 @@ class TestTiesTrim:
             merge_engine._zero_unselected(out, 1.0, last)
             assert out.tobytes() == np.where(keep, v, 0.0).tobytes()
 
+    def test_peak_is_the_magnitudes_and_no_mask(self):
+        # |v| is the one full-size allocation; counting the kept magnitudes
+        # above thr must not add a mask of k elements beside it
+        v = np.random.default_rng(8).standard_normal(1 << 21)
+        assert traced_peak(lambda: ties_trim(v, 0.9)) <= v.nbytes + SCRATCH
+
 
 class TestDare:
     def test_p_zero_identity(self):
@@ -194,13 +200,7 @@ class TestDare:
     def test_scratch_is_a_small_fraction_of_the_array(self):
         # the draws and the drop mask live one block at a time
         v = np.random.default_rng(5).standard_normal(1 << 20)
-        tracemalloc.start()
-        try:
-            dare_transform(v, 0.9, (11, 0, "w"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.1 * v.nbytes
+        assert traced_peak(lambda: dare_transform(v, 0.9, (11, 0, "w"))) < 0.1 * v.nbytes
 
     def test_unbiased_over_many_seeds(self):
         # mean over 1e5 independent streams of dare([1.0], 0.5)
@@ -287,6 +287,22 @@ def ties_family(tmp_path, shapes, tasks=4, dtype="BF16"):
     return [TaskSpec(f"t{i}", p) for i, p in enumerate(model_ps)], base_p
 
 
+@pytest.fixture(scope="module")
+def peak_family(tmp_path_factory):
+    """(tasks, dtype) -> (task specs, base path) of a family whose largest
+    tensor holds 2**20 elements; each is written once per module."""
+    made = {}
+
+    def make(tasks, dtype):
+        if (tasks, dtype) not in made:
+            root = tmp_path_factory.mktemp(f"peak-{tasks}-{dtype}")
+            made[tasks, dtype] = ties_family(root, {"emb": (1024, 1024), "w": (256, 64)},
+                                             tasks, dtype)
+        return made[tasks, dtype]
+
+    return make
+
+
 class TestTiesWalk:
     def test_trim_selects_once_per_task_and_tensor(self, tmp_path, monkeypatch):
         calls = []
@@ -323,13 +339,7 @@ class TestTiesWalk:
             base=base_p, tasks=tasks, output=str(tmp_path / "out.st"),
             method="metagpt", transform="ties", ties_density=0.2,
         )
-        tracemalloc.start()
-        try:
-            run_recipe(recipe)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (len(tasks) + 2) * 8 * n
+        assert traced_peak(lambda: run_recipe(recipe)) < (len(tasks) + 2) * 8 * n
 
 
 _W = np.random.default_rng(0).standard_normal((3, 50))
@@ -423,6 +433,14 @@ class TestWorkingBuffers:
         np.testing.assert_allclose(report.coefficients["lambdas"], lambdas, rtol=1e-12)
         for name in expect:
             np.testing.assert_allclose(read_tensor(handle, name).values, expect[name], atol=1e-6)
+
+
+# (transform, method); "given" is metagpt with coefficients passed in, which
+# walks once like the norm-free methods
+PEAK_CASES = [
+    *itertools.product(merge_engine.TRANSFORMS, ("metagpt", "task_arithmetic_fixed")),
+    ("ties", "given"),
+]
 
 
 class TestRunRecipe:
@@ -565,21 +583,24 @@ class TestRunRecipe:
         b = read_tensor(open_checkpoint(out_plain), "w").values
         np.testing.assert_allclose(a, b, atol=1e-7)
 
-    def test_peak_buffers_within_bound(self, tmp_path):
-        rng = np.random.default_rng(4)
-        base = {f"t{i:02d}": rng.standard_normal(20) for i in range(10)}
-        tvs = [{n: 0.1 * rng.standard_normal(20) for n in base} for _ in range(3)]
-        base_p, model_ps = family(tmp_path, base, tvs)
-        for transform in ("none", "ties", "dare"):
-            recipe = MergeRecipe(
-                base=base_p,
-                tasks=[TaskSpec(f"t{i}", p) for i, p in enumerate(model_ps)],
-                output=str(tmp_path / f"out_{transform}.st"),
-                method="metagpt",
-                transform=transform,
-            )
-            _, report = run_recipe(recipe)
-            assert report.peak_live_buffers <= 3 + 2
+    @pytest.mark.parametrize("dtype", ["BF16", "F32"])
+    @pytest.mark.parametrize("tasks", [1, 4])
+    @pytest.mark.parametrize("transform,method", PEAK_CASES)
+    def test_peak_buffers_within_bound(self, tmp_path, peak_family, transform, method,
+                                       tasks, dtype):
+        # the documented bound holds, and sits within 0.1 buffer of the peak
+        buffer = 8 * (1 << 20)
+        specs, base_p = peak_family(tasks, dtype)
+        recipe = MergeRecipe(
+            base=base_p, tasks=specs, output=str(tmp_path / "out.st"),
+            method="metagpt" if method == "given" else method, transform=transform,
+            ties_density=0.2, dare_p=0.9,
+        )
+        given = CoefficientSet([t.id for t in specs], [1 / tasks] * tasks, "external")
+        peak = traced_peak(lambda: run_recipe(recipe, given if method == "given" else None))
+        bound = merge_peak_buffers(transform, tasks, 2 if dtype == "BF16" else 4,
+                                   two_walks=method == "metagpt")
+        assert (bound - 0.1) * buffer <= peak <= bound * buffer + SCRATCH
 
     def test_mid_merge_failure_leaves_no_output(self, tmp_path):
         # tensor "zz" overflows F16 on write, after "aa" was already written
