@@ -596,8 +596,10 @@ class TestRunRecipe:
             method="metagpt" if method == "given" else method, transform=transform,
             ties_density=0.2, dare_p=0.9,
         )
-        given = CoefficientSet([t.id for t in specs], [1 / tasks] * tasks, "external")
-        peak = traced_peak(lambda: run_recipe(recipe, given if method == "given" else None))
+        given = None
+        if method == "given":
+            given = CoefficientSet([t.id for t in specs], [1 / tasks] * tasks, "external")
+        peak = traced_peak(lambda: run_recipe(recipe, given))
         bound = merge_peak_buffers(transform, tasks, 2 if dtype == "BF16" else 4,
                                    two_walks=method == "metagpt")
         assert (bound - 0.1) * buffer <= peak <= bound * buffer + SCRATCH
