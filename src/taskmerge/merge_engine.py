@@ -13,18 +13,19 @@ walks twice: norms only, then combine only. The norm-free methods and given
 coefficients fix lambda before any tensor is read, so their merge walks
 once, feeding both sinks, with the same norms and report.
 
-Memory never grows with total model size. The base, each diff and the
-plain sum are decoded or summed into working buffers allocated once per run
-at the size of the largest tensor, so their pages are faulted in once per
-run, not once per read; TIES and DARE transform the diff in place, and
-their draws, masks and signs take one block at a time. Measured with
-tracemalloc in float64 buffers B of the largest tensor, for T tasks stored
-with s bytes per element (4 for F32, 2 for BF16), the peak is at most the
-figure below plus a per-block scratch of 1 MiB that does not grow with the
-model:
-  - no transform or DARE, any T: (3 + s/8) * B, the base, the diff and the
-    sum plus one stored copy from a raw read or an encoded write. At T = 1
-    that is s/8 of a buffer above T + 2;
+Memory never grows with total model size. The base and the plain sum
+live in working buffers allocated at the size of the largest tensor, once
+per run or walk, so their pages are not faulted in again on every read.
+Without TIES a task diff is never whole: each task's tensor is read raw and
+decoded, diffed, dropped and added one node of at most ``_CHUNK`` elements
+at a time. TIES decodes each task's whole diff, into a buffer allocated
+like the others, and trims it in place; its signs take one block at a time.
+Measured with tracemalloc in float64 buffers B of the largest tensor, for T
+tasks stored with s bytes per element (4 for F32, 2 for BF16), the peak is
+at most the figure below plus a per-block scratch of 1 MiB that does not
+grow with the model:
+  - no transform or DARE, any T: (2 + s/8) * B, the base and the sum plus
+    one stored copy from a raw read or an encoded write;
   - TIES with the closed form: max(3, T + 1 + s/8) * B. Combining holds the
     base, the T trimmed diffs and one raw read; the norms walk holds the
     base, one diff and the magnitudes the trim partitions;
@@ -50,7 +51,14 @@ from . import jsonutil
 from .coefficients import COEFFICIENT_METHODS, NORM_FREE_METHODS, NORM_METHODS, CoefficientSet
 from .errors import RecipeError, ValidationError
 from .rng import CHUNK, drop_threshold, stream_seed, uniform_stream
-from .task_vectors import StatsAccumulator, task_diffs, working_buffer
+from .task_vectors import (
+    StatsAccumulator,
+    blocked_dot,
+    fold,
+    task_diffs,
+    task_nodes,
+    working_buffer,
+)
 from .tensor_store import (
     CheckpointHandle,
     CheckpointWriter,
@@ -265,13 +273,16 @@ def _zero_unselected(values: np.ndarray, thr: float, last: int) -> None:
         np.putmask(block[split:], mag[split:] <= thr, 0.0)
 
 
-def dare_transform(values: np.ndarray, p: float, stream_key: tuple[int, int, str]) -> None:
+def dare_transform(
+    values: np.ndarray, p: float, stream_key: tuple[int, int, str], offset: int = 0
+) -> None:
     """Drop elements of the flat float64 array *values* with probability p
     and rescale the survivors by 1/(1-p), in place.
 
-    Element e is dropped iff draw z_e of a SplitMix64 stream keyed by (seed,
-    task_index, tensor_name) is below ``drop_threshold(p)``, which is the
-    same as its uniform z_e * 2**-64 being below p. Dropped elements become
+    *values* holds elements ``offset ..`` of its tensor. Element e is
+    dropped iff draw z_e of a SplitMix64 stream keyed by (seed, task_index,
+    tensor_name) is below ``drop_threshold(p)``, which is the same as its
+    uniform z_e * 2**-64 being below p. Dropped elements become
     +0.0, and each survivor is divided once by (1 - p). The array is walked
     in blocks of ``CHUNK`` elements, so the draws and the drop mask never
     take more than one block's memory. p = 0 changes nothing and draws no
@@ -287,7 +298,7 @@ def dare_transform(values: np.ndarray, p: float, stream_key: tuple[int, int, str
     threshold = np.uint64(drop_threshold(p))
     for start in range(0, values.size, CHUNK):
         block = values[start : start + CHUNK]
-        drop = uniform_stream(stream, block.size, start) < threshold
+        drop = uniform_stream(stream, block.size, offset + start) < threshold
         block /= 1.0 - p
         # putmask, not block[drop] = 0.0: the boolean-index assignment is
         # about a third slower on masks this dense
@@ -298,7 +309,7 @@ def _walk(
     base: CheckpointHandle,
     models: list[CheckpointHandle],
     recipe: MergeRecipe,
-    work: tuple[np.ndarray, np.ndarray],
+    work: tuple[np.ndarray, np.ndarray | None],
     selections: dict[tuple[int, str], tuple[float, int] | None],
     norms: tuple[StatsAccumulator, StatsAccumulator | None] | None = None,
     combine: tuple[list[float], CheckpointWriter] | None = None,
@@ -308,16 +319,13 @@ def _walk(
     Each diff goes to the sinks given:
       - norms (raw, transformed): squared norms of the diff and of the
         transformed diff before it is scaled (None: no transform);
-      - combine (lambdas, writer): writes base + sum_t lambda_t * tv_t. The
-        plain sum consumes one diff at a time. TIES holds each of a
-        tensor's trimmed diffs for the sign election, so the base and T
-        diffs are live together; the signs take one block at a time.
+      - combine (lambdas, writer): writes base + sum_t lambda_t * tv_t.
 
-    The base and each diff live in the heads of the *work* buffers (base,
-    diff), which every tensor reuses, and the transform works on the diff
-    in place; the plain sum lives in a buffer of the same size made once per
-    walk. TIES needs no sum buffer, since it adds onto the base, but decodes
-    task t's diff into a buffer of its own, the diff buffer serving task 0.
+    The base lives in the head of the first *work* buffer, which every
+    tensor reuses. Without TIES, each tensor goes through ``_node_sum``;
+    with it, through ``_ties_sum``, whose diffs take the second *work*
+    buffer: every task's when taking norms only, task 0's when combining,
+    the others taking buffers of their own.
 
     *selections* maps (t, name) to what ``ties_trim`` selected. The first
     walk over a pair trims and records it; a later walk rebuilds the same
@@ -325,42 +333,98 @@ def _walk(
     """
     raw, transformed = norms or (None, None)
     lambdas, writer = combine or (None, None)
-    ties = writer is not None and recipe.transform == "ties"
-    plain = writer is not None and not ties
     base_work, diff_work = work
-    sum_work = working_buffer(base) if plain else None
+    ties = recipe.transform == "ties"
     if ties:
-        diff_work = [diff_work] + [working_buffer(base) for _ in models[1:]]
+        diff_work = [diff_work] + [
+            working_buffer(base) if writer is not None else diff_work for _ in models[1:]
+        ]
+    sum_work = working_buffer(base) if writer is not None and not ties else None
     for name in sorted(base.index):
         base_buf = read_tensor(base, name, out=base_work)
-        out = base_buf.values
-        if plain:
-            out = sum_work[: out.size]
-            np.copyto(out, base_buf.values)
-        held = []
-        for t, diff in task_diffs(name, base_buf.values, models, out=diff_work):
-            if raw is not None:
-                raw.add_partial(t, diff)
-            if recipe.transform == "ties":
-                if (t, name) not in selections:
-                    selections[t, name] = ties_trim(diff, recipe.ties_density)
-                elif selections[t, name] is not None:
-                    _zero_unselected(diff, *selections[t, name])
-            elif recipe.transform == "dare":
-                dare_transform(diff, recipe.dare_p, (recipe.seed, t, name))
-            if transformed is not None:
-                transformed.add_partial(t, diff)
-            if ties:
-                held.append((lambdas[t], diff))
-                continue
-            if plain:
-                diff *= lambdas[t]
-                out += diff
-        if held:
-            _elect_and_merge(out, held)
-            held.clear()  # kept to the next tensor, they raised TIES peak RSS 11%
+        if ties:
+            out = _ties_sum(name, base_buf.values, models, recipe, diff_work, selections,
+                            raw, transformed, lambdas)
+        else:
+            out = _node_sum(name, base_buf.values, models, recipe, raw, transformed,
+                            lambdas, sum_work)
         if writer is not None:
             writer.write(TensorBuffer(name, base_buf.shape, out))
+
+
+def _node_sum(
+    name: str,
+    base_values: np.ndarray,
+    models: list[CheckpointHandle],
+    recipe: MergeRecipe,
+    raw: StatsAccumulator | None,
+    transformed: StatsAccumulator | None,
+    lambdas: list[float] | None,
+    sum_work: np.ndarray | None,
+) -> np.ndarray | None:
+    """Norms and, given *lambdas*, base + sum_t lambda_t * tv_t of one
+    tensor with no transform or DARE, in the head of *sum_work*.
+
+    Tasks go in the outer loop and the nodes of ``split`` in the inner one:
+    each node is decoded, diffed, square-summed, dropped, square-summed
+    again, scaled and added while it is in cache, and each task's node sums
+    are folded up the pairwise tree. Every step is elementwise, so norms
+    and sum are the bits a whole-tensor diff would give.
+    """
+    n = base_values.size
+    out = None
+    if lambdas is not None:
+        out = sum_work[:n]
+        np.copyto(out, base_values)
+    for t, nodes in task_nodes(name, base_values, models):
+        raw_sums, transformed_sums = [], []
+        for lo, node in nodes:
+            if raw is not None:
+                raw_sums.append(blocked_dot(node, node))
+            if recipe.transform == "dare":
+                dare_transform(node, recipe.dare_p, (recipe.seed, t, name), lo)
+            if transformed is not None:
+                transformed_sums.append(blocked_dot(node, node))
+            if out is not None:
+                node *= lambdas[t]
+                out[lo : lo + node.size] += node
+        if raw is not None:
+            raw.add_sq(t, fold(n, raw_sums))
+        if transformed is not None:
+            transformed.add_sq(t, fold(n, transformed_sums))
+    return out
+
+
+def _ties_sum(
+    name: str,
+    base_values: np.ndarray,
+    models: list[CheckpointHandle],
+    recipe: MergeRecipe,
+    diff_work: list[np.ndarray],
+    selections: dict[tuple[int, str], tuple[float, int] | None],
+    raw: StatsAccumulator | None,
+    transformed: StatsAccumulator | None,
+    lambdas: list[float] | None,
+) -> np.ndarray:
+    """Norms and, given *lambdas*, the TIES merge of one tensor onto
+    *base_values* in place. Task t's diff is decoded whole into
+    ``diff_work[t]`` and trimmed there; the sign election holds every
+    trimmed diff of the tensor and takes one block at a time."""
+    held = []
+    for t, diff in task_diffs(name, base_values, models, out=diff_work):
+        if raw is not None:
+            raw.add_partial(t, diff)
+        if (t, name) not in selections:
+            selections[t, name] = ties_trim(diff, recipe.ties_density)
+        elif selections[t, name] is not None:
+            _zero_unselected(diff, *selections[t, name])
+        if transformed is not None:
+            transformed.add_partial(t, diff)
+        if lambdas is not None:
+            held.append((lambdas[t], diff))
+    if held:
+        _elect_and_merge(base_values, held)
+    return base_values
 
 
 def _elect_and_merge(out: np.ndarray, held: list[tuple[float, np.ndarray]]) -> None:
@@ -422,7 +486,8 @@ def run_recipe(
     raw = StatsAccumulator(task_ids)
     transformed = StatsAccumulator(task_ids) if recipe.transform != "none" else None
     norms = (raw, transformed)
-    work = (working_buffer(base), working_buffer(base))
+    # a second full-size buffer holds TIES diffs; other diffs take one node
+    work = (working_buffer(base), working_buffer(base) if recipe.transform == "ties" else None)
     selections: dict[tuple[int, str], tuple[float, int] | None] = {}
     coeffs = coeffs_override
     if coeffs is None and recipe.method in NORM_FREE_METHODS:

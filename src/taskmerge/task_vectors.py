@@ -8,24 +8,32 @@ a tensor to be live at once.
 
 Reduction order is fixed: numpy's deterministic pairwise reduction within a
 tensor, then a sequential fold over tensors in sorted-name order. Two runs
-over the same files give bit-identical results. Within a tensor the products
-are made one leaf of numpy's pairwise tree (``_LEAF`` elements at most) at a
-time, so a reduction makes no full-size temporary and still returns exactly
-``np.sum(a * b)``.
+over the same files give bit-identical results. ``split`` cuts a tensor into
+the nodes of numpy's pairwise tree and ``fold`` adds their sums back up the
+same tree, so a sum taken node by node is still exactly ``np.sum(a * b)``.
+Products are made one leaf (``_LEAF`` elements at most) at a time, and a
+walk over task diffs decodes and diffs one node (the codec's ``_CHUNK``) at
+a time, so neither makes a full-size temporary.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jsonutil
 from .errors import ValidationError
-from .tensor_store import CheckpointHandle, read_tensor, validate_compatibility
+from .tensor_store import (
+    _CHUNK,
+    CheckpointHandle,
+    read_payload,
+    read_tensor,
+    validate_compatibility,
+)
 
 # Largest leaf of the blocked reduction: its product (128 KiB) stays in L2.
 _LEAF = 2**14
@@ -65,20 +73,43 @@ class CosineMatrix:
     values: np.ndarray
 
 
+def _half(n: int) -> int:
+    """Where numpy's pairwise sum splits a node of n elements."""
+    n2 = n // 2
+    return n2 - n2 % 8
+
+
+def split(n: int, limit: int = _CHUNK, lo: int = 0) -> Iterator[tuple[int, int]]:
+    """The ranges ``[lo, hi)`` of the largest nodes of numpy's pairwise sum
+    over *n* elements that hold at most *limit* each, in order.
+
+    Each node is a subtree that numpy also sums on its own, so ``fold`` of
+    the node sums is exactly the sum over all n elements.
+    """
+    if n <= limit:
+        yield lo, lo + n
+        return
+    n2 = _half(n)
+    yield from split(n2, limit, lo)
+    yield from split(n - n2, limit, lo + n2)
+
+
+def fold(n: int, sums: Iterable[float], limit: int = _CHUNK) -> float:
+    """Add the node sums of ``split(n, limit)``, given in its order, up the
+    same tree."""
+    sums = iter(sums)  # an iterator is its own iter, so the halves share it
+    if n <= limit:
+        return next(sums)
+    n2 = _half(n)
+    return fold(n2, sums, limit) + fold(n - n2, sums, limit)
+
+
 def blocked_dot(a: np.ndarray, b: np.ndarray) -> float:
     """``float(np.sum(a * b))`` bit for bit, for flat float64 arrays of one
-    size, with the products made one leaf of at most ``_LEAF`` at a time.
-
-    Nodes split as numpy's pairwise sum splits them (n2 = n // 2 rounded
-    down to a multiple of 8), so every leaf is a subtree that numpy also sums
-    on its own, and the leaf sums are added back up the same tree.
-    """
-    n = a.size
-    if n <= _LEAF:
-        return float(np.sum(a * b))
-    n2 = n // 2
-    n2 -= n2 % 8
-    return blocked_dot(a[:n2], b[:n2]) + blocked_dot(a[n2:], b[n2:])
+    size, with the products made one leaf of at most ``_LEAF`` at a time."""
+    # np.add.reduce is the reduction np.sum runs, without its Python wrapper
+    leaves = split(a.size, _LEAF)
+    return fold(a.size, (float(np.add.reduce(a[lo:hi] * b[lo:hi])) for lo, hi in leaves), _LEAF)
 
 
 def working_buffer(base: CheckpointHandle) -> np.ndarray:
@@ -95,33 +126,55 @@ def task_diffs(
     name: str,
     base_values: np.ndarray,
     models: list[CheckpointHandle],
-    out: np.ndarray | list[np.ndarray] | None = None,
+    out: list[np.ndarray] | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (t, model_t[name] - base) for each model that holds *name*.
 
     Each diff is taken in place on its freshly decoded array, and the next
-    model is read only when the caller asks for it, so one diff at a time is
-    made; a model lacking the name is skipped (it contributes zero). Given
-    one buffer *out*, every diff is decoded into its head, so each yielded
-    diff is overwritten by the next one: the caller must be done with it
-    before asking for the next. Given a list, task t's diff is decoded into
-    ``out[t]`` and lives until the next tensor's.
+    model is read only when the caller asks for it; a model lacking the name
+    is skipped (it contributes zero). Given a list *out*, task t's diff is
+    decoded into ``out[t]`` and lives until the next diff decoded into the
+    same buffer; otherwise each diff is a new array.
     """
     for t, model in enumerate(models):
         if name in model.index:
-            buf = out[t] if isinstance(out, list) else out
-            diff = read_tensor(model, name, out=buf).values
+            diff = read_tensor(model, name, out=None if out is None else out[t]).values
             diff -= base_values
             yield t, diff
+
+
+def task_nodes(
+    name: str, base_values: np.ndarray, models: list[CheckpointHandle]
+) -> Iterator[tuple[int, Iterator[tuple[int, np.ndarray]]]]:
+    """Yield (t, nodes) for each model that holds *name*, where nodes yields
+    (lo, model_t[name][lo:hi] - base[lo:hi]) for each node ``[lo, hi)`` of
+    ``split(n)``, all from one raw read of task t's tensor.
+
+    Every node of every task is decoded into one node-sized array, so the
+    caller must be done with a node before asking for the next; no
+    full-size diff is made. A model lacking the name is skipped.
+    """
+    scratch = np.empty(min(base_values.size, _CHUNK))
+
+    def nodes(payload):
+        for lo, hi in split(base_values.size):
+            node = scratch[: hi - lo]
+            payload.decode(lo, hi, node)
+            node -= base_values[lo:hi]
+            yield lo, node
+
+    for t, model in enumerate(models):
+        if name in model.index:
+            yield t, nodes(read_payload(model, name))
 
 
 class StatsAccumulator:
     """Accumulates squared norms (and optionally the Gram matrix) of task
     vectors, one tensor at a time. Works from file streams or raw arrays.
 
-    Norms-only callers can feed one task diff at a time via ``add_partial``
-    (so a single diff buffer is ever live); the Gram path needs every task's
-    diff for a tensor at once, via ``add_tensor``.
+    Norms-only callers can feed one task diff at a time via ``add_partial``,
+    or its squared norm, folded from node sums, via ``add_sq``; the Gram
+    path needs every task's diff for a tensor at once, via ``add_tensor``.
     """
 
     def __init__(self, task_ids: list[str], want_gram: bool = False):
@@ -132,8 +185,11 @@ class StatsAccumulator:
         self._sq = np.zeros(t, dtype=np.float64)
         self._gram = np.zeros((t, t), dtype=np.float64) if want_gram else None
 
+    def add_sq(self, t: int, sq: float) -> None:
+        self._sq[t] += sq
+
     def add_partial(self, t: int, diff: np.ndarray) -> None:
-        self._sq[t] += blocked_dot(diff, diff)
+        self.add_sq(t, blocked_dot(diff, diff))
 
     def add_tensor(self, diffs: dict[int, np.ndarray]) -> None:
         """Fold one tensor's task diffs in. Absent indices contribute zero."""
@@ -171,7 +227,9 @@ def compute_stats(
     Strict mode rejects any name drift; lenient mode lets tensors missing
     from a model contribute zero to its statistics (they are reported in
     ``missing_names``). Shape mismatches on common names are always fatal.
-    Peak memory is a handful of single-tensor buffers, never a whole model.
+    Peak memory is single-tensor buffers, never a whole model: the base
+    tensor and one raw read, plus every task's diff of a tensor when the
+    Gram matrix is wanted.
     """
     if not models:
         raise ValidationError("need at least one model")
@@ -184,18 +242,15 @@ def compute_stats(
     report.require(strict)
 
     acc = StatsAccumulator(task_ids, want_gram)
-    # the Gram pairs need every diff of a tensor at once, so only a
-    # norms-only walk decodes its diffs into one reused buffer
     base_work = working_buffer(base)
-    diff_work = None if want_gram else working_buffer(base)
     for name in sorted(base.index):
         base_values = read_tensor(base, name, out=base_work).values
-        diffs = task_diffs(name, base_values, models, out=diff_work)
         if want_gram:
-            acc.add_tensor(dict(diffs))
-        else:
-            for t, diff in diffs:
-                acc.add_partial(t, diff)
+            # the Gram pairs need every diff of a tensor at once
+            acc.add_tensor(dict(task_diffs(name, base_values, models)))
+            continue
+        for t, nodes in task_nodes(name, base_values, models):
+            acc.add_sq(t, fold(base_values.size, (blocked_dot(v, v) for _, v in nodes)))
     stats = acc.finalize()
     stats.missing_names = report.missing_from(base, models, task_ids) or None
     return stats

@@ -11,10 +11,12 @@ Tensors are decoded to flat float64 arrays; the storage dtype is metadata.
 Non-finite values are rejected on both read and write: a silent NaN in a
 checkpoint corrupts every model merged from it.
 
-The codec works through a tensor in chunks of ``_CHUNK`` elements. Decoding
-fills one float64 result (a new array, or the head of a buffer the caller
-passes) from views of the raw bytes; encoding narrows into one result of the
-storage dtype, which the writer writes without a copy.
+The codec works through a tensor in chunks of ``_CHUNK`` elements. A read
+keeps a tensor's stored bytes undecoded (``read_payload``), and decoding
+widens any range of them into a float64 array the caller gives: a whole
+tensor for ``read_tensor``, one node of a reduction for a streaming walk.
+Encoding narrows into one result of the storage dtype, which the writer
+writes without a copy.
 Scratch arrays hold one chunk, so no full-size temporary is made. A value is
 inf or NaN exactly when its exponent bits are all ones, so the read check
 runs on the stored bits before any cast (a signaling NaN never reaches a
@@ -119,28 +121,39 @@ def _any_nonfinite(bits: np.ndarray, exponent: int, scratch: np.ndarray) -> bool
     return np.bitwise_and(bits, exponent, out=scratch[: bits.size]).max() == exponent
 
 
-def _decode(
-    raw: bytes, dtype: str, path: str, name: str, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Widen stored values to float64, one chunk at a time, into the head of
-    *out* when given, else into a new array."""
-    storage, unsigned, exponent = _LAYOUT[dtype]
-    bits = np.frombuffer(raw, dtype=unsigned)
-    stored = bits.view(storage)
-    out = np.empty(bits.size, dtype=np.float64) if out is None else out[: bits.size]
-    mask = np.empty(min(bits.size, _CHUNK), dtype=unsigned)
-    wide = np.empty(mask.size, dtype=np.uint32) if dtype == "BF16" else None
-    for lo in range(0, bits.size, _CHUNK):
-        hi = min(lo + _CHUNK, bits.size)
-        if _any_nonfinite(bits[lo:hi], exponent, mask):
-            raise ValidationError(f"{path}: non-finite value in '{name}'")
-        if wide is None:
-            out[lo:hi] = stored[lo:hi]
+@dataclass
+class Payload:
+    """The stored bytes of one tensor, read whole from its file, as unsigned
+    integers of the storage width; ``decode`` widens any range of them."""
+
+    path: str
+    name: str
+    dtype: str
+    bits: np.ndarray
+
+    def decode(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """Widen stored values ``lo .. hi-1`` into the flat float64 *out* of
+        ``hi - lo`` values, one chunk at a time, after checking each chunk's
+        bits for inf and NaN."""
+        storage, unsigned, exponent = _LAYOUT[self.dtype]
+        bits, stored = self.bits[lo:hi], self.bits[lo:hi].view(storage)
+        # BF16 widens through uint32 scratch, whose first half also serves
+        # as the check's mask
+        if self.dtype == "BF16":
+            wide = np.empty(min(bits.size, _CHUNK), dtype=np.uint32)
+            mask = wide.view(unsigned)
         else:
-            w = wide[: hi - lo]
-            np.left_shift(bits[lo:hi], 16, out=w, dtype=np.uint32)
-            out[lo:hi] = w.view(np.float32)
-    return out
+            wide, mask = None, np.empty(min(bits.size, _CHUNK), dtype=unsigned)
+        for start in range(0, bits.size, _CHUNK):
+            stop = min(start + _CHUNK, bits.size)
+            if _any_nonfinite(bits[start:stop], exponent, mask):
+                raise ValidationError(f"{self.path}: non-finite value in '{self.name}'")
+            if wide is None:
+                out[start:stop] = stored[start:stop]
+            else:
+                w = wide[: stop - start]
+                np.left_shift(bits[start:stop], 16, out=w, dtype=np.uint32)
+                out[start:stop] = w.view(np.float32)
 
 
 def _encode(values: np.ndarray, dtype: str, name: str) -> np.ndarray:
@@ -261,6 +274,22 @@ def open_checkpoint(path: str) -> CheckpointHandle:
     )
 
 
+def read_payload(handle: CheckpointHandle, name: str) -> Payload:
+    """Read one tensor's stored bytes, undecoded; they count in
+    ``handle.bytes_read``."""
+    meta = handle.index.get(name)
+    if meta is None:
+        raise ValidationError(f"{handle.path}: no tensor named '{name}'")
+    with open(handle.path, "rb") as f:
+        f.seek(handle.data_start + meta.byte_range[0])
+        raw = f.read(meta.num_bytes)
+    if len(raw) != meta.num_bytes:
+        raise FormatError(f"{handle.path}: truncated payload for '{name}'")
+    handle.bytes_read += len(raw)
+    bits = np.frombuffer(raw, dtype=_LAYOUT[meta.dtype][1])
+    return Payload(handle.path, name, meta.dtype, bits)
+
+
 def read_tensor(
     handle: CheckpointHandle, name: str, out: np.ndarray | None = None
 ) -> TensorBuffer:
@@ -272,21 +301,16 @@ def read_tensor(
     full-size array on every read.
     """
     meta = handle.index.get(name)
-    if meta is None:
-        raise ValidationError(f"{handle.path}: no tensor named '{name}'")
-    if out is not None and (
+    if meta is not None and out is not None and (
         out.dtype != np.float64 or out.ndim != 1 or out.size < meta.num_elements
     ):
         raise ValidationError(
             f"'{name}' needs a flat float64 buffer of {meta.num_elements} values"
         )
-    with open(handle.path, "rb") as f:
-        f.seek(handle.data_start + meta.byte_range[0])
-        raw = f.read(meta.num_bytes)
-    if len(raw) != meta.num_bytes:
-        raise FormatError(f"{handle.path}: truncated payload for '{name}'")
-    handle.bytes_read += len(raw)
-    values = _decode(raw, meta.dtype, handle.path, name, out)
+    payload = read_payload(handle, name)
+    n = payload.bits.size
+    values = np.empty(n) if out is None else out[:n]
+    payload.decode(0, n, values)
     return TensorBuffer(name=name, shape=meta.shape, values=values)
 
 

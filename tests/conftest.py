@@ -36,7 +36,7 @@ def merge_peak_buffers(transform: str, tasks: int, stored_bytes: int, two_walks:
     2 for BF16. *two_walks*: the closed form takes norms before combining."""
     stored = stored_bytes / 8  # one raw read or encoded write
     if transform != "ties":
-        return 3 + stored  # base, diff, sum
+        return 2 + stored  # base, sum; each diff takes one node at a time
     if two_walks:
         # combining holds the base and T diffs; the norms walk the base,
         # one diff and the magnitudes the trim partitions

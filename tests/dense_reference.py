@@ -97,7 +97,11 @@ def reference_merge(
     names = sorted(base)
     t_count = len(models)
 
-    raw_vectors = [{n: m[n] - base[n] for n in names} for m in models]
+    # a tensor missing from a model contributes a zero task vector
+    raw_vectors = [
+        {n: m[n] - base[n] if n in m else np.zeros_like(base[n]) for n in names}
+        for m in models
+    ]
     if transform == "ties":
         vectors = [{n: trim_dense(v[n], ties_density) for n in names} for v in raw_vectors]
     elif transform == "dare":

@@ -1,4 +1,6 @@
 import json
+import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taskmerge import cli, task_vectors
+from taskmerge import FormatError, MergeRecipe, ValidationError, cli, merge_engine
+from taskmerge import open_checkpoint, run_recipe, task_vectors
+from taskmerge.task_vectors import split
+from taskmerge.tensor_store import _CHUNK, DTYPE_SIZES
 
 from conftest import write_ckpt
 
@@ -301,6 +306,84 @@ class TestMerge:
         assert (code, out) == (1, "")
         assert err.startswith("error: recipe is not valid JSON")
         assert not Path(out_path).exists()
+
+
+# inf and NaN bit patterns, by stored dtype
+BAD_BITS = {
+    ("F32", "inf"): struct.pack("<I", 0x7F800000),
+    ("F32", "nan"): struct.pack("<I", 0x7FC00001),
+    ("BF16", "inf"): struct.pack("<H", 0xFF80),
+    ("BF16", "nan"): struct.pack("<H", 0x7FC1),
+}
+
+
+class TestLastNodeFaults:
+    """A fault in the last node of the last tensor of the last task keeps
+    its error type and text, names that file, exits 2 and leaves no output
+    and no temp file, however far the merge got."""
+
+    N = 2 * _CHUNK + 9  # "z" splits into three nodes
+
+    def write_family(self, tmp_path, dtype, method, transform):
+        rng = np.random.default_rng(31)
+        base = {"a": rng.standard_normal((5, 7)), "z": rng.standard_normal(self.N)}
+        paths = [write_ckpt(tmp_path / "base.st", base, dtype=dtype)]
+        for t in range(2):
+            model = {n: v + 0.1 * (t + 1) * rng.standard_normal(v.shape) for n, v in base.items()}
+            paths.append(write_ckpt(tmp_path / f"m{t}.st", model, dtype=dtype))
+        recipe = tmp_path / "recipe.json"
+        recipe.write_text(json.dumps({
+            "base": paths[0],
+            "tasks": [{"id": f"t{t}", "path": p} for t, p in enumerate(paths[1:])],
+            "method": method,
+            "transform": transform,
+            "output": str(tmp_path / "out.st"),
+        }))
+        return str(recipe), paths[-1]
+
+    def assert_fails_cleanly(self, capsys, tmp_path, via, recipe, error, message):
+        if via == "cli":
+            code, out, err = run_cli(capsys, "merge", "--recipe", recipe)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+        else:
+            with pytest.raises(error) as caught:
+                run_recipe(MergeRecipe.from_dict(json.loads(Path(recipe).read_text())))
+            assert type(caught.value) is error and str(caught.value) == message
+        assert not any(p.name.startswith("out.st") for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("via", ["api", "cli"])
+    @pytest.mark.parametrize("method,transform",
+                             [("metagpt", "none"), ("task_arithmetic_fixed", "dare")])
+    @pytest.mark.parametrize("dtype,kind", sorted(BAD_BITS))
+    def test_nonfinite_value(self, capsys, tmp_path, dtype, kind, method, transform, via):
+        recipe, last = self.write_family(tmp_path, dtype, method, transform)
+        handle = open_checkpoint(last)
+        lo, hi = list(split(self.N))[-1]
+        with open(last, "r+b") as f:
+            f.seek(handle.data_start + handle.index["z"].byte_range[0]
+                   + (hi - 1) * DTYPE_SIZES[dtype])
+            f.write(BAD_BITS[dtype, kind])
+        self.assert_fails_cleanly(capsys, tmp_path, via, recipe, ValidationError,
+                                  f"{last}: non-finite value in 'z'")
+
+    @pytest.mark.parametrize("via", ["api", "cli"])
+    @pytest.mark.parametrize("after_open", [False, True], ids=["before", "after_open"])
+    def test_truncated_payload(self, capsys, tmp_path, monkeypatch, after_open, via):
+        recipe, last = self.write_family(tmp_path, "BF16", "metagpt", "none")
+        size = os.path.getsize(last) - 2  # "z" is stored last: cut its last node
+
+        def truncating_open(path, _open=merge_engine.open_checkpoint):
+            handle = _open(path)
+            if path == last:
+                os.truncate(last, size)
+            return handle
+
+        if after_open:
+            monkeypatch.setattr(merge_engine, "open_checkpoint", truncating_open)
+        else:
+            os.truncate(last, size)
+        self.assert_fails_cleanly(capsys, tmp_path, via, recipe, FormatError,
+                                  f"{last}: truncated payload for 'z'")
 
 
 class TestVerify:

@@ -141,12 +141,21 @@ def test_norm_free_merges_read_each_tensor_once(tmp_path, monkeypatch, method, o
         write_ckpt(tmp_path / f"{i}.st", {n: exact_values(rng, s) for n, s in names.items()})
         for i in range(3)
     ]
+    # every read of a tensor: decoded whole, or its raw payload for a node walk
     reads = []
-    for module in (merge_engine, task_vectors):
-        def counted(handle, name, out=None, _read=module.read_tensor):
+    for module, attr in ((merge_engine, "read_tensor"), (task_vectors, "read_tensor"),
+                         (task_vectors, "read_payload")):
+        def counted(handle, name, _read=getattr(module, attr), **kw):
             reads.append(name)
-            return _read(handle, name, out=out)
-        monkeypatch.setattr(module, "read_tensor", counted)
+            return _read(handle, name, **kw)
+        monkeypatch.setattr(module, attr, counted)
+    handles = []
+
+    def opened(path, _open=merge_engine.open_checkpoint):
+        handles.append(_open(path))
+        return handles[-1]
+
+    monkeypatch.setattr(merge_engine, "open_checkpoint", opened)
     recipe = MergeRecipe(
         base=paths[0],
         tasks=[TaskSpec("a", paths[1]), TaskSpec("b", paths[2])],
@@ -156,6 +165,12 @@ def test_norm_free_merges_read_each_tensor_once(tmp_path, monkeypatch, method, o
     coeffs = CoefficientSet(["a", "b"], [0.5, 0.25], "external")
     run_recipe(recipe, coeffs_override=coeffs if override else None)
     assert len(reads) == walks * len(paths) * len(names)
+    # each input's header once, then every payload once per walk
+    inputs = handles[: len(paths)]
+    assert [h.path for h in inputs] == paths
+    for h in inputs:
+        payload = sum(meta.num_bytes for meta in h.index.values())
+        assert h.bytes_read == h.data_start + walks * payload
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 from taskmerge import merge_engine
 from taskmerge.rng import CHUNK
+from taskmerge.task_vectors import _LEAF
+from taskmerge.tensor_store import _CHUNK
 from taskmerge import (
     CoefficientSet,
     MergeRecipe,
@@ -25,7 +28,7 @@ from taskmerge import (
 )
 
 from conftest import SCRATCH, merge_peak_buffers, traced_peak, write_ckpt
-from dense_reference import dare_mask_dense, reference_merge, trim_dense
+from dense_reference import dare_mask_dense, read_checkpoint_dense, reference_merge, trim_dense
 
 
 def trimmed(values, density):
@@ -433,6 +436,70 @@ class TestWorkingBuffers:
         np.testing.assert_allclose(report.coefficients["lambdas"], lambdas, rtol=1e-12)
         for name in expect:
             np.testing.assert_allclose(read_tensor(handle, name).values, expect[name], atol=1e-6)
+
+
+# Sizes that are no multiple of 8, on each side of the reduction's leaf and of
+# a node; the last splits into three nodes.
+NODE_WALK_SIZES = [1, 7, 13, 129, _LEAF - 1, _LEAF + 1, _CHUNK - 1, _CHUNK + 1,
+                   2 * _CHUNK + 9]
+
+
+class TestNodeWalk:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        # every task holds the first tensor, large enough that DARE keeps
+        # some of it, so no closed-form norm is zero
+        first=st.sampled_from([n for n in NODE_WALK_SIZES if n >= 129]),
+        rest=st.lists(st.sampled_from(NODE_WALK_SIZES), max_size=2),
+        dtype=st.sampled_from(["BF16", "F16", "F32"]),
+        tasks=st.integers(1, 3),
+        held=st.lists(st.booleans(), min_size=6, max_size=6),
+        method=st.sampled_from(["metagpt", "task_arithmetic_fixed"]),
+        transform=st.sampled_from(["none", "dare"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_reference(self, first, rest, dtype, tasks, held, method,
+                                     transform, seed):
+        rng = np.random.default_rng(seed)
+        sizes = {f"t{i}": n for i, n in enumerate([first, *rest])}
+        base = {name: rng.standard_normal(n) for name, n in sizes.items()}
+        models = []
+        for t in range(tasks):
+            # tensor i > 0 is missing from task t unless held[2 * t + i - 1]
+            names = [name for i, name in enumerate(sizes) if i == 0 or held[2 * t + i - 1]]
+            models.append({n: base[n] + 0.1 * (t + 1) * rng.standard_normal(sizes[n])
+                           for n in names})
+        with tempfile.TemporaryDirectory() as d:
+            base_p = write_ckpt(Path(d) / "base.st", base, dtype=dtype)
+            model_ps = [write_ckpt(Path(d) / f"m{t}.st", m, dtype=dtype)
+                        for t, m in enumerate(models)]
+            recipe = MergeRecipe(
+                base=base_p,
+                tasks=[TaskSpec(f"t{t}", p) for t, p in enumerate(model_ps)],
+                output=str(Path(d) / "out.st"),
+                method=method, transform=transform, dare_p=0.7, seed=seed,
+                strict_keys=False, output_dtype="F32",
+            )
+            handle, report = run_recipe(recipe)
+            expect, lambdas = reference_merge(base_p, model_ps, method=method,
+                                              transform=transform, dare_p=0.7, seed=seed)
+            np.testing.assert_allclose(report.coefficients["lambdas"], lambdas, rtol=1e-12)
+            # folded node by node, each tensor's raw norm is np.sum's to the bit
+            dense_base = read_checkpoint_dense(base_p)
+            raw = []
+            for p in model_ps:
+                dense = read_checkpoint_dense(p)
+                sq = np.float64(0.0)
+                for name in sorted(dense):
+                    diff = dense[name] - dense_base[name]
+                    sq += np.sum(diff * diff)
+                raw.append(float(sq))
+            assert report.raw_sq_norms == raw
+            for name in sizes:
+                # the engine's float64 sum differs from the reference's in the
+                # last bits at most; the F32 output rounds it to 24
+                np.testing.assert_allclose(read_tensor(handle, name).values, expect[name],
+                                           rtol=2**-23, atol=1e-12)
 
 
 # (transform, method); "given" is metagpt with coefficients passed in, which

@@ -14,7 +14,8 @@ from taskmerge import (
     stats_from_arrays,
 )
 
-from taskmerge.task_vectors import _LEAF, blocked_dot
+from taskmerge.task_vectors import _LEAF, blocked_dot, fold, split
+from taskmerge.tensor_store import _CHUNK
 
 from conftest import write_ckpt
 
@@ -77,15 +78,23 @@ class TestComputeStats:
             for t in range(2)
         ]
         reads = []
-        real = task_vectors.read_tensor
+        real = task_vectors.read_tensor, task_vectors.read_payload
 
         def spy(handle, name, out=None):
             reads.append((handle.path == base_p, out is not None))
-            return real(handle, name, out=out)
+            return real[0](handle, name, out=out)
+
+        def raw_spy(handle, name):
+            reads.append((handle.path == base_p, "raw"))
+            return real[1](handle, name)
 
         monkeypatch.setattr(task_vectors, "read_tensor", spy)
+        monkeypatch.setattr(task_vectors, "read_payload", raw_spy)
         norms = compute_stats(open_checkpoint(base_p), models)
-        assert len(reads) == 9 and all(has_out for _, has_out in reads)
+        # norms only: the base decodes into a reused buffer, and each task's
+        # tensor is read raw and decoded one node at a time
+        assert len(reads) == 9
+        assert reads.count((True, True)) == 3 and reads.count((False, "raw")) == 6
         # the Gram pairs hold every diff of a tensor, so only the base is reused
         reads.clear()
         gram = compute_stats(open_checkpoint(base_p), models, want_gram=True)
@@ -277,6 +286,29 @@ def test_blocked_sums_match_numpy_bit_for_bit(n, seed, lo, span, zeros):
     assert bits(stats.gram[0, 1]) == bits(np.sum(x * y))
     assert bits(stats.gram[1, 0]) == bits(np.sum(x * y))
     assert bits(blocked_dot(x, y)) == bits(np.sum(x * y))
+
+
+# sizes of one node and of the first splits around it, besides EDGE_SIZES
+NODE_SIZES = [_CHUNK + d for d in (-8, -1, 0, 1, 8)] + [2 * _CHUNK + d for d in (-8, 1, 8)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from(EDGE_SIZES + NODE_SIZES), st.integers(0, 4 * _CHUNK)),
+    seed=st.integers(0, 2**32 - 1),
+    lo=st.integers(-300, 150),
+    span=st.integers(0, 450),
+    zeros=st.sampled_from([0.0, 0.1, 1.0]),
+)
+def test_fold_of_node_sums_matches_numpy_bit_for_bit(n, seed, lo, span, zeros):
+    rng = np.random.default_rng(seed)
+    x, y = (spread_values(rng, n, lo, span, zeros) for _ in range(2))
+    nodes = list(split(n))
+    # the nodes tile [0, n) in order, none larger than a codec chunk
+    assert [a for a, _ in nodes] == [0] + [b for _, b in nodes[:-1]]
+    assert nodes[-1][1] == n and all(b - a <= _CHUNK for a, b in nodes)
+    sums = [blocked_dot(x[a:b], y[a:b]) for a, b in nodes]
+    assert np.float64(fold(n, sums)).tobytes() == np.sum(x * y).tobytes()
 
 
 def test_blocked_sum_of_negative_zeros_is_positive_zero():

@@ -20,7 +20,7 @@ from taskmerge import (
     write_checkpoint,
 )
 
-from taskmerge.tensor_store import _CHUNK
+from taskmerge.tensor_store import _CHUNK, read_payload
 
 from conftest import write_ckpt
 from dense_reference import read_checkpoint_dense
@@ -234,6 +234,40 @@ class TestReadDecode:
             else:
                 with pytest.raises(ValidationError, match="non-finite"):
                     read_tensor(open_checkpoint(p), "a")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dtype=st.sampled_from(sorted(STORED_BITS)),
+        n=st.integers(1, 3 * _CHUNK),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_range_decode_matches_dense_reference(self, dtype, n, seed, data):
+        # any [lo, hi) decodes to the dense values there, and only a
+        # non-finite value inside the range fails it
+        unsigned, exponent, low_bit = STORED_BITS[dtype]
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2 ** (8 * np.dtype(unsigned).itemsize), n, dtype=np.uint64)
+        bits = bits.astype(unsigned)
+        bits[(bits & exponent) == exponent] ^= low_bit
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.integers(lo + 1, n))
+        poison = data.draw(st.integers(0, n - 1))
+        bits[poison] |= exponent
+        with tempfile.TemporaryDirectory() as d:
+            p = one_tensor_file(Path(d) / "c.st", dtype, bits)
+            with np.errstate(invalid="ignore"):
+                dense = read_checkpoint_dense(p)["a"]
+            handle = open_checkpoint(p)
+            payload = read_payload(handle, "a")
+            assert handle.bytes_read == handle.data_start + bits.nbytes
+            out = np.empty(hi - lo)
+            if lo <= poison < hi:
+                with pytest.raises(ValidationError, match="non-finite value in 'a'"):
+                    payload.decode(lo, hi, out)
+            else:
+                payload.decode(lo, hi, out)
+                assert out.tobytes() == dense[lo:hi].tobytes()
 
     @pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
     def test_decode_into_head_of_out(self, tmp_path, dtype):
