@@ -18,31 +18,39 @@ live in working buffers allocated at the size of the largest tensor, once
 per run or walk, so their pages are not faulted in again on every read.
 Without TIES a task diff is never whole: each task's tensor is read raw and
 decoded, diffed, dropped and added one node of at most ``_CHUNK`` elements
-at a time. TIES decodes each task's whole diff, into a buffer allocated
-like the others, and trims it in place; its signs take one block at a time.
+at a time. TIES trims whole diffs: a walk that takes norms decodes each one
+into a diff buffer allocated like the others and trims it there, recording
+the selection. Its combine holds each task's raw read instead of its diff
+and takes one block of ``CHUNK`` elements at a time: it decodes, diffs and
+re-trims every task's block from its selection, then elects signs on it.
 Measured with tracemalloc in float64 buffers B of the largest tensor, for T
 tasks stored with s bytes per element (4 for F32, 2 for BF16), the peak is
 at most the figure below plus a per-block scratch of 1 MiB that does not
 grow with the model:
   - no transform or DARE, any T: (2 + s/8) * B, the base and the sum plus
     one stored copy from a raw read or an encoded write;
-  - TIES with the closed form: max(3, T + 1 + s/8) * B. Combining holds the
-    base, the T trimmed diffs and one raw read; the norms walk holds the
-    base, one diff and the magnitudes the trim partitions;
-  - TIES with a norm-free method or given coefficients: (T + 2) * B, the
-    base and T diffs plus the magnitudes of the last one as it is trimmed.
-TIES selects once per (task, tensor): the walk that trims a diff first
-records the selection, and a later walk rebuilds the same trim from it
-with one compare per element and no partition.
+  - TIES with the closed form: max(3 * B, (1 + T * s/8) * B + T blocks).
+    The norms walk holds the base, one diff and the magnitudes the trim
+    partitions. The diff buffer goes before combining, which holds the
+    base, T raw reads and one decoded block of each;
+  - TIES with a norm-free method or given coefficients: (3 + (T-1) * s/8)
+    * B, the base, the diff and its magnitudes as the last task is trimmed,
+    and the raw reads of the T - 1 others. That task's trimmed diff is still
+    whole when the walk combines, so it is not read again.
+TIES selects once per (task, tensor): the walk that trims a diff records
+the selection, and a later walk rebuilds the same trim from it with one
+compare per element and no partition.
 Everything is deterministic: re-running a recipe with the same seed
 produces byte-identical output files and reports.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -55,15 +63,16 @@ from .task_vectors import (
     StatsAccumulator,
     blocked_dot,
     fold,
-    task_diffs,
     task_nodes,
     working_buffer,
 )
 from .tensor_store import (
     CheckpointHandle,
     CheckpointWriter,
+    Payload,
     TensorBuffer,
     open_checkpoint,
+    read_payload,
     read_tensor,
     validate_compatibility,
 )
@@ -262,15 +271,31 @@ def ties_trim(values: np.ndarray, density: float) -> tuple[float, int] | None:
 def _zero_unselected(values: np.ndarray, thr: float, last: int) -> None:
     """Zero, in place, what the selection ``(thr, last)`` of ``ties_trim``
     drops: ``|v| < thr`` at flat indices up to *last* and ``|v| <= thr``
-    after it. One ``CHUNK``-element block of magnitudes at a time."""
-    scratch = np.empty(min(CHUNK, values.size))
+    after it. One ``CHUNK``-element block of magnitudes at a time; a
+    negative *last*, or one past the end, keeps no tie or every tie."""
+    m = min(CHUNK, values.size)
+    mag, keep, mask = np.empty(m), np.empty(m, dtype=bool), np.empty(m, dtype=np.uint64)
     for start in range(0, values.size, CHUNK):
         block = values[start : start + CHUNK]
-        mag = np.abs(block, out=scratch[: block.size])
+        k = block.size
+        np.abs(block, out=mag[:k])
         # ties up to last are kept; split is where the later ones start
-        split = min(max(last + 1 - start, 0), block.size)
-        np.putmask(block[:split], mag[:split] < thr, 0.0)
-        np.putmask(block[split:], mag[split:] <= thr, 0.0)
+        split = min(max(last + 1 - start, 0), k)
+        np.greater_equal(mag[:split], thr, out=keep[:split])
+        np.greater(mag[split:k], thr, out=keep[split:k])
+        _keep_only(block, keep[:k], mask[:k])
+
+
+def _keep_only(values: np.ndarray, keep: np.ndarray, mask: np.ndarray) -> None:
+    """Zero the elements of *values* where the bool array *keep* is False,
+    in place and with no branch per element: their bits are ANDed with
+    *mask*, uint64 scratch of the same size, made all ones where *keep*
+    holds. A dropped element becomes +0.0, as under ``np.putmask(values,
+    ~keep, 0.0)``, and a kept one keeps its bits, -0.0 included."""
+    np.copyto(mask, keep)
+    np.negative(mask, out=mask)  # 1 -> all ones
+    bits = values.view(np.uint64)
+    bits &= mask
 
 
 def dare_transform(
@@ -292,10 +317,7 @@ def dare_transform(
         raise ValidationError(f"drop probability out of range [0, 1): {p}")
     if p == 0.0:
         return
-    stream = stream_seed(*stream_key)
-    # a numpy scalar: numpy 1.x compares uint64 with a Python int above 2**63
-    # as float64, which would move the threshold
-    threshold = np.uint64(drop_threshold(p))
+    stream, threshold = _stream_and_threshold(p, stream_key)
     for start in range(0, values.size, CHUNK):
         block = values[start : start + CHUNK]
         drop = uniform_stream(stream, block.size, offset + start) < threshold
@@ -303,6 +325,18 @@ def dare_transform(
         # putmask, not block[drop] = 0.0: the boolean-index assignment is
         # about a third slower on masks this dense
         np.putmask(block, drop, 0.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _stream_and_threshold(
+    p: float, stream_key: tuple[int, int, str]
+) -> tuple[int, np.uint64]:
+    """The stream of *stream_key* and the draw threshold of *p*. A walk
+    drops the nodes of one (task, tensor) in a row, so the one cached entry
+    derives both once per (task, tensor), not once per node."""
+    # a numpy scalar: numpy 1.x compares uint64 with a Python int above 2**63
+    # as float64, which would move the threshold
+    return stream_seed(*stream_key), np.uint64(drop_threshold(p))
 
 
 def _walk(
@@ -323,22 +357,18 @@ def _walk(
 
     The base lives in the head of the first *work* buffer, which every
     tensor reuses. Without TIES, each tensor goes through ``_node_sum``;
-    with it, through ``_ties_sum``, whose diffs take the second *work*
-    buffer: every task's when taking norms only, task 0's when combining,
-    the others taking buffers of their own.
+    with it, through ``_ties_sum``, which trims each whole diff in the
+    second *work* buffer when it takes norms and needs no such buffer when
+    it only combines.
 
-    *selections* maps (t, name) to what ``ties_trim`` selected. The first
-    walk over a pair trims and records it; a later walk rebuilds the same
-    trim from it with no partition.
+    *selections* maps (t, name) to what ``ties_trim`` selected. The walk
+    that takes norms trims and records it; a combining walk without norms
+    rebuilds the same trim from it, block by block, with no partition.
     """
     raw, transformed = norms or (None, None)
     lambdas, writer = combine or (None, None)
     base_work, diff_work = work
     ties = recipe.transform == "ties"
-    if ties:
-        diff_work = [diff_work] + [
-            working_buffer(base) if writer is not None else diff_work for _ in models[1:]
-        ]
     sum_work = working_buffer(base) if writer is not None and not ties else None
     for name in sorted(base.index):
         base_buf = read_tensor(base, name, out=base_work)
@@ -400,64 +430,110 @@ def _ties_sum(
     base_values: np.ndarray,
     models: list[CheckpointHandle],
     recipe: MergeRecipe,
-    diff_work: list[np.ndarray],
+    diff_work: np.ndarray | None,
     selections: dict[tuple[int, str], tuple[float, int] | None],
     raw: StatsAccumulator | None,
     transformed: StatsAccumulator | None,
     lambdas: list[float] | None,
 ) -> np.ndarray:
     """Norms and, given *lambdas*, the TIES merge of one tensor onto
-    *base_values* in place. Task t's diff is decoded whole into
-    ``diff_work[t]`` and trimmed there; the sign election holds every
-    trimmed diff of the tensor and takes one block at a time."""
+    *base_values* in place.
+
+    Taking norms, each task's diff is decoded whole into *diff_work*,
+    square-summed, trimmed (its selection recorded) and square-summed again.
+    Combining holds each task's raw payload, not its diff: ``_elect`` takes
+    one block at a time, for which each payload is decoded, diffed and
+    trimmed again by replaying its selection. A walk that takes norms too
+    reads its last task no second time, as that task's trimmed diff is
+    still whole in *diff_work*. A payload that is not held goes before the
+    trim partitions.
+    """
+    n = base_values.size
+    holders = [t for t, model in enumerate(models) if name in model.index]
     held = []
-    for t, diff in task_diffs(name, base_values, models, out=diff_work):
-        if raw is not None:
-            raw.add_partial(t, diff)
-        if (t, name) not in selections:
-            selections[t, name] = ties_trim(diff, recipe.ties_density)
-        elif selections[t, name] is not None:
-            _zero_unselected(diff, *selections[t, name])
+    for t in holders:
+        payload = read_payload(models[t], name)
+        if raw is None:
+            held.append((t, payload))
+            continue
+        diff = diff_work[:n]
+        payload.decode(0, n, diff)
+        diff -= base_values
+        if lambdas is not None and t != holders[-1]:
+            held.append((t, payload))
+        del payload  # unless held, before the partition adds |v|
+        raw.add_partial(t, diff)
+        selections[t, name] = ties_trim(diff, recipe.ties_density)
         if transformed is not None:
             transformed.add_partial(t, diff)
-        if lambdas is not None:
-            held.append((lambdas[t], diff))
-    if held:
-        _elect_and_merge(base_values, held)
+    if lambdas is None or not holders:
+        return base_values
+    tasks = [(lambdas[t], _replay(payload, base_values, selections[t, name]))
+             for t, payload in held]
+    if raw is not None:
+        tasks.append((lambdas[holders[-1]], lambda lo, hi: diff_work[lo:hi]))
+    _elect(base_values, tasks)
     return base_values
 
 
-def _elect_and_merge(out: np.ndarray, held: list[tuple[float, np.ndarray]]) -> None:
-    """TIES sign election and disjoint merge of the trimmed diffs *held*
-    (lambda_t, tv_t) onto *out*, one ``CHUNK``-element block at a time.
+def _replay(
+    payload: Payload, base_values: np.ndarray, selection: tuple[float, int] | None
+) -> Callable[[int, int], np.ndarray]:
+    """A fetch for ``_elect``: the diff of *payload* over ``[lo, hi)``,
+    decoded into a block of its own, less the base, and trimmed as
+    *selection* says."""
+    node_work = np.empty(min(CHUNK, base_values.size))
 
-    Per element, in task order: signs = sum_t lambda_t * tv_t from zero,
-    then out += lambda_t * tv_t wherever sign(tv_t) equals the nonzero sign
-    of that sum. Every step is elementwise, so the blocking leaves the
-    bytes as they are. The diffs are scaled and zeroed in place.
+    def fetch(lo: int, hi: int) -> np.ndarray:
+        node = node_work[: hi - lo]
+        payload.decode(lo, hi, node)
+        node -= base_values[lo:hi]
+        if selection is not None:
+            thr, last = selection
+            _zero_unselected(node, thr, last - lo)
+        return node
+
+    return fetch
+
+
+def _elect(
+    out: np.ndarray, tasks: list[tuple[float, Callable[[int, int], np.ndarray]]]
+) -> None:
+    """TIES sign election and disjoint merge onto *out*, in place, one
+    ``CHUNK``-element block at a time. *tasks* holds (lambda_t, fetch_t) in
+    task order; ``fetch_t(lo, hi)`` returns the trimmed diff tv_t over
+    ``[lo, hi)`` in an array the election may scale and zero. Every task's
+    block is fetched before *out*'s block changes.
+
+    Per element, in task order: s = sum_t lambda_t * tv_t from zero, then
+    out += lambda_t * tv_t where tv_t and s are both positive or both
+    negative, and out += +0.0 elsewhere. For finite values that is the
+    election ``sign(tv_t) == sign(s) != 0``. The compares take the unscaled
+    tv_t, since lambda_t * tv_t may underflow to zero, and the zeroing ANDs
+    bits, so no step branches per element.
     """
     m = min(CHUNK, out.size)
-    signs_buf, tmp_buf = np.empty(m), np.empty(m)
-    hit_buf, nonzero_buf = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
-    for start in range(0, out.size, CHUNK):
-        stop = min(start + CHUNK, out.size)
-        s, tmp = signs_buf[: stop - start], tmp_buf[: stop - start]
-        hit, nonzero = hit_buf[: stop - start], nonzero_buf[: stop - start]
+    scratch = [np.empty(m), np.empty(m), np.empty(m, dtype=np.uint64)]
+    scratch += [np.empty(m, dtype=bool) for _ in range(4)]
+    for lo in range(0, out.size, CHUNK):
+        hi = min(lo + CHUNK, out.size)
+        s, tmp, mask, pos, neg, hit, below = (a[: hi - lo] for a in scratch)
+        blocks = [(lam, fetch(lo, hi)) for lam, fetch in tasks]
         s.fill(0.0)
-        for lam, v in held:
-            np.multiply(lam, v[start:stop], out=tmp)
+        for lam, v in blocks:
+            np.multiply(lam, v, out=tmp)
             s += tmp
-        np.sign(s, out=s)
-        np.not_equal(s, 0.0, out=nonzero)
-        for lam, v in held:
-            block = v[start:stop]
-            np.sign(block, out=tmp)
-            np.equal(tmp, s, out=hit)
-            hit &= nonzero
-            block *= lam
-            np.logical_not(hit, out=hit)
-            np.putmask(block, hit, 0.0)
-            out[start:stop] += block
+        np.greater(s, 0.0, out=pos)
+        np.less(s, 0.0, out=neg)
+        for lam, v in blocks:
+            np.greater(v, 0.0, out=hit)
+            hit &= pos
+            np.less(v, 0.0, out=below)
+            below &= neg
+            hit |= below
+            v *= lam
+            _keep_only(v, hit, mask)
+            out[lo:hi] += v
 
 
 def run_recipe(
@@ -486,7 +562,8 @@ def run_recipe(
     raw = StatsAccumulator(task_ids)
     transformed = StatsAccumulator(task_ids) if recipe.transform != "none" else None
     norms = (raw, transformed)
-    # a second full-size buffer holds TIES diffs; other diffs take one node
+    # TIES trims each whole diff in a second full-size buffer; other diffs
+    # take one node at a time
     work = (working_buffer(base), working_buffer(base) if recipe.transform == "ties" else None)
     selections: dict[tuple[int, str], tuple[float, int] | None] = {}
     coeffs = coeffs_override
@@ -498,6 +575,9 @@ def run_recipe(
         use_raw = recipe.norm_source == "raw" or transformed is None
         coeffs = NORM_METHODS[recipe.method]((raw if use_raw else transformed).finalize())
         norms = None
+        # without norms, combining replays each trim block by block: the
+        # diff buffer goes before the payloads are read
+        work = (work[0], None)
 
     specs = [
         (name, meta.shape, "F32" if recipe.output_dtype == "F32" else meta.dtype)

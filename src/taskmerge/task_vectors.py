@@ -123,22 +123,17 @@ def working_buffer(base: CheckpointHandle) -> np.ndarray:
 
 
 def task_diffs(
-    name: str,
-    base_values: np.ndarray,
-    models: list[CheckpointHandle],
-    out: list[np.ndarray] | None = None,
+    name: str, base_values: np.ndarray, models: list[CheckpointHandle]
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (t, model_t[name] - base) for each model that holds *name*.
 
-    Each diff is taken in place on its freshly decoded array, and the next
-    model is read only when the caller asks for it; a model lacking the name
-    is skipped (it contributes zero). Given a list *out*, task t's diff is
-    decoded into ``out[t]`` and lives until the next diff decoded into the
-    same buffer; otherwise each diff is a new array.
+    Each diff is a new array, taken in place on its freshly decoded values,
+    and the next model is read only when the caller asks for it; a model
+    lacking the name is skipped (it contributes zero).
     """
     for t, model in enumerate(models):
         if name in model.index:
-            diff = read_tensor(model, name, out=None if out is None else out[t]).values
+            diff = read_tensor(model, name).values
             diff -= base_values
             yield t, diff
 

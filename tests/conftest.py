@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from taskmerge import TensorBuffer, write_checkpoint
+from taskmerge.rng import CHUNK
 
 # Headroom for the engine's per-block scratch (draws, masks, signs, codec
 # chunks). It does not grow with the model.
@@ -30,18 +31,24 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def merge_peak_buffers(transform: str, tasks: int, stored_bytes: int, two_walks: bool) -> float:
+def merge_peak_buffers(
+    transform: str, tasks: int, stored_bytes: int, two_walks: bool, elements: int
+) -> float:
     """The documented traced peak of a merge, before SCRATCH, in float64
-    buffers of its largest tensor. *stored_bytes* per element: 4 for F32,
-    2 for BF16. *two_walks*: the closed form takes norms before combining."""
+    buffers of its largest tensor, of *elements* values. *stored_bytes* per
+    element: 4 for F32, 2 for BF16. *two_walks*: the closed form takes norms
+    before combining."""
     stored = stored_bytes / 8  # one raw read or encoded write
     if transform != "ties":
         return 2 + stored  # base, sum; each diff takes one node at a time
     if two_walks:
-        # combining holds the base and T diffs; the norms walk the base,
-        # one diff and the magnitudes the trim partitions
-        return max(3, tasks + 1 + stored)
-    return tasks + 2  # one walk: base, T diffs, the last one's magnitudes
+        # the norms walk holds the base, one diff and the magnitudes the trim
+        # partitions; combining, the base, T raw reads and a decoded block
+        # of each
+        block = min(CHUNK, elements) / elements
+        return max(3, 1 + tasks * (stored + block))
+    # one walk: base, the last diff, its magnitudes and T - 1 raw reads
+    return 3 + (tasks - 1) * stored
 
 
 @pytest.fixture

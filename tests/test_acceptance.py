@@ -282,7 +282,8 @@ def test_c09_streaming_fidelity_and_memory(tmp_path):
             transform=transform,
         )
         peak = traced_peak(lambda: run_recipe(recipe))
-        ok &= peak <= merge_peak_buffers(transform, 3, 4, two_walks=True) * buffer + SCRATCH
+        bound = merge_peak_buffers(transform, 3, 4, True, base["embed"].size)
+        ok &= peak <= bound * buffer + SCRATCH
     assert report_line(9, "streaming stats fidelity and measured memory bound", ok)
 
 

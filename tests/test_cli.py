@@ -353,7 +353,8 @@ class TestLastNodeFaults:
 
     @pytest.mark.parametrize("via", ["api", "cli"])
     @pytest.mark.parametrize("method,transform",
-                             [("metagpt", "none"), ("task_arithmetic_fixed", "dare")])
+                             [("metagpt", "none"), ("task_arithmetic_fixed", "dare"),
+                              ("metagpt", "ties"), ("task_arithmetic_fixed", "ties")])
     @pytest.mark.parametrize("dtype,kind", sorted(BAD_BITS))
     def test_nonfinite_value(self, capsys, tmp_path, dtype, kind, method, transform, via):
         recipe, last = self.write_family(tmp_path, dtype, method, transform)
@@ -369,7 +370,18 @@ class TestLastNodeFaults:
     @pytest.mark.parametrize("via", ["api", "cli"])
     @pytest.mark.parametrize("after_open", [False, True], ids=["before", "after_open"])
     def test_truncated_payload(self, capsys, tmp_path, monkeypatch, after_open, via):
-        recipe, last = self.write_family(tmp_path, "BF16", "metagpt", "none")
+        self.check_truncated(capsys, tmp_path, monkeypatch, after_open, via, "metagpt", "none")
+
+    @pytest.mark.parametrize("via", ["api", "cli"])
+    @pytest.mark.parametrize("after_open", [False, True], ids=["before", "after_open"])
+    @pytest.mark.parametrize("method", ["metagpt", "task_arithmetic_fixed"])
+    def test_truncated_ties_payload(self, capsys, tmp_path, monkeypatch, method, after_open,
+                                    via):
+        self.check_truncated(capsys, tmp_path, monkeypatch, after_open, via, method, "ties")
+
+    def check_truncated(self, capsys, tmp_path, monkeypatch, after_open, via, method,
+                        transform):
+        recipe, last = self.write_family(tmp_path, "BF16", method, transform)
         size = os.path.getsize(last) - 2  # "z" is stored last: cut its last node
 
         def truncating_open(path, _open=merge_engine.open_checkpoint):

@@ -281,6 +281,66 @@ class TestTiesCombine:
         assert ties_merge_columns(tmp_path, columns, lambdas) == expect
 
 
+def elect_and_merge_oracle(out, held):
+    """The whole-array election the engine ran before its block form, kept
+    to pin the block form's bytes: np.sign of the weighted sum and of each
+    diff, and a putmask zeroing, over trimmed diffs held whole."""
+    m = min(CHUNK, out.size)
+    signs_buf, tmp_buf = np.empty(m), np.empty(m)
+    hit_buf, nonzero_buf = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    for start in range(0, out.size, CHUNK):
+        stop = min(start + CHUNK, out.size)
+        s, tmp = signs_buf[: stop - start], tmp_buf[: stop - start]
+        hit, nonzero = hit_buf[: stop - start], nonzero_buf[: stop - start]
+        s.fill(0.0)
+        for lam, v in held:
+            np.multiply(lam, v[start:stop], out=tmp)
+            s += tmp
+        np.sign(s, out=s)
+        np.not_equal(s, 0.0, out=nonzero)
+        for lam, v in held:
+            block = v[start:stop]
+            np.sign(block, out=tmp)
+            np.equal(tmp, s, out=hit)
+            hit &= nonzero
+            block *= lam
+            np.logical_not(hit, out=hit)
+            np.putmask(block, hit, 0.0)
+            out[start:stop] += block
+
+
+# Values that make the election's edge cases common: ties of equal magnitude,
+# signed zeros, subnormals, and magnitudes whose scaled value underflows
+ELECT_VALUES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5e-324, -5e-324,
+                1e-310, -1e-310, 1e-200, -1e-200]
+# zero, negative and underflowing coefficients among them
+ELECT_LAMBDAS = [0.0, -0.0, 1.0, -1.0, 0.25, -0.75, 3.0, 1e-200, -1e-300, 5e-324]
+
+
+class TestBlockElection:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 9, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]),
+        lambdas=st.lists(st.sampled_from(ELECT_LAMBDAS) | st.floats(-4.0, 4.0),
+                         min_size=1, max_size=4),
+        zeros=st.floats(0.0, 1.0),
+        fill=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_match_whole_array_election(self, n, lambdas, zeros, fill):
+        # diffs mostly zero, as trimmed ones are; -0.0 and subnormals in the
+        # base and in the diffs
+        gen = np.random.default_rng(fill)
+        base = gen.choice(ELECT_VALUES, n)
+        diffs = [np.where(gen.random(n) < zeros, 0.0, gen.choice(ELECT_VALUES, n))
+                 for _ in lambdas]
+        want = base.copy()
+        elect_and_merge_oracle(want, [(lam, d.copy()) for lam, d in zip(lambdas, diffs)])
+        got = base.copy()
+        merge_engine._elect(got, [(lam, lambda lo, hi, d=d.copy(): d[lo:hi])
+                                  for lam, d in zip(lambdas, diffs)])
+        assert got.tobytes() == want.tobytes()
+
+
 def ties_family(tmp_path, shapes, tasks=4, dtype="BF16"):
     rng = np.random.default_rng(23)
     base = {n: rng.standard_normal(s) for n, s in shapes.items()}
@@ -333,16 +393,20 @@ class TestTiesWalk:
                 np.testing.assert_allclose(read_tensor(handle, name).values, expect[name],
                                            atol=1e-6)
 
-    def test_traced_peak_within_t_plus_two_buffers(self, tmp_path):
-        # T = 4 BF16 TIES merge: the base and four trimmed diffs are the only
-        # full-size buffers; the signs take one block at a time
-        n = 1 << 20
-        tasks, base_p = ties_family(tmp_path, {"emb": (1024, 1024), "w": (256, 64)})
+    def test_traced_peak_of_combining_is_raw_reads(self, tmp_path):
+        # T = 8 F32: combining holds the base, eight raw reads of half a
+        # buffer and a decoded block of each, more than the norms walk's 3
+        n, tasks = 1 << 20, 8
+        specs, base_p = ties_family(tmp_path, {"emb": (1024, 1024), "w": (256, 64)},
+                                    tasks, "F32")
         recipe = MergeRecipe(
-            base=base_p, tasks=tasks, output=str(tmp_path / "out.st"),
+            base=base_p, tasks=specs, output=str(tmp_path / "out.st"),
             method="metagpt", transform="ties", ties_density=0.2,
         )
-        assert traced_peak(lambda: run_recipe(recipe)) < (len(tasks) + 2) * 8 * n
+        peak = traced_peak(lambda: run_recipe(recipe))
+        bound = merge_peak_buffers("ties", tasks, 4, two_walks=True, elements=n)
+        assert bound == 1 + tasks * (0.5 + CHUNK / n)
+        assert (bound - 0.1) * 8 * n <= peak <= bound * 8 * n + SCRATCH
 
 
 _W = np.random.default_rng(0).standard_normal((3, 50))
@@ -498,6 +562,92 @@ class TestNodeWalk:
             for name in sizes:
                 # the engine's float64 sum differs from the reference's in the
                 # last bits at most; the F32 output rounds it to 24
+                np.testing.assert_allclose(read_tensor(handle, name).values, expect[name],
+                                           rtol=2**-23, atol=1e-12)
+
+
+# Sizes of the first tensor, on each side of _CHUNK and over several combine
+# blocks; the others are on each side of a combine block, or small
+TIES_WALK_FIRST = [CHUNK + 9, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 9]
+TIES_WALK_REST = [1, 7, CHUNK - 1, CHUNK + 1]
+
+
+class TestTiesNodeWalk:
+    """TIES merges, whose combine decodes each held task one block at a
+    time and replays its trim there, against the dense reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        first=st.sampled_from(TIES_WALK_FIRST),
+        rest=st.lists(st.sampled_from(TIES_WALK_REST), max_size=2),
+        tie=st.sampled_from([-2, -1, 0, 1]),
+        dtype=st.sampled_from(["BF16", "F16", "F32"]),
+        tasks=st.integers(1, 3),
+        held=st.lists(st.booleans(), min_size=6, max_size=6),
+        method=st.sampled_from(["metagpt", "task_arithmetic_fixed", "given"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_reference(self, first, rest, tie, dtype, tasks, held, method,
+                                     seed):
+        rng = np.random.default_rng(seed)
+        sizes = {f"t{i}": n for i, n in enumerate([first, *rest])}
+        # quantized values, exact in every dtype, so magnitudes tie often
+        base = {name: rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], n) for name, n in sizes.items()}
+        diffs = [{name: rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], n)
+                  for name, n in sizes.items()} for _ in range(tasks)]
+        # task 0's first diff keeps its last tie of magnitude 1 at `tie` from
+        # the last combine block boundary; the density is set to do so
+        d = diffs[0]["t0"]
+        boundary = (first - 3) // CHUNK * CHUNK
+        last = boundary + tie
+        d[last] = 1.0
+        mag = np.abs(d)
+        k = int(np.count_nonzero(mag > 1.0) + np.count_nonzero(mag[: last + 1] == 1.0))
+        density = (k - 0.5) / first
+        assert math.ceil(density * first) == k
+        models = []
+        for t in range(tasks):
+            # tensor i > 0 is missing from task t unless held[2 * t + i - 1]
+            names = [name for i, name in enumerate(sizes) if i == 0 or held[2 * t + i - 1]]
+            models.append({n: base[n] + diffs[t][n] for n in names})
+        given_lambdas = [0.75, -0.25, 0.5][:tasks] if method == "given" else None
+        with tempfile.TemporaryDirectory() as tmp:
+            base_p = write_ckpt(Path(tmp) / "base.st", base, dtype=dtype)
+            model_ps = [write_ckpt(Path(tmp) / f"m{t}.st", m, dtype=dtype)
+                        for t, m in enumerate(models)]
+            ids = [f"t{t}" for t in range(tasks)]
+            recipe = MergeRecipe(
+                base=base_p,
+                tasks=[TaskSpec(i, p) for i, p in zip(ids, model_ps)],
+                output=str(Path(tmp) / "out.st"),
+                method="metagpt" if method == "given" else method,
+                transform="ties", ties_density=density,
+                strict_keys=False, output_dtype="F32",
+            )
+            given = None if given_lambdas is None else CoefficientSet(ids, given_lambdas,
+                                                                     "external")
+            handle, report = run_recipe(recipe, given)
+            expect, lambdas = reference_merge(
+                base_p, model_ps, method=recipe.method, transform="ties",
+                ties_density=density, lambdas=given_lambdas,
+            )
+            np.testing.assert_allclose(report.coefficients["lambdas"], lambdas, rtol=1e-12)
+            # both norms are np.sum's to the bit, tensor by tensor
+            dense_base = read_checkpoint_dense(base_p)
+            raw, trimmed_sq = [], []
+            for p in model_ps:
+                dense = read_checkpoint_dense(p)
+                sq, tsq = np.float64(0.0), np.float64(0.0)
+                for name in sorted(dense):
+                    diff = dense[name] - dense_base[name]
+                    sq += np.sum(diff * diff)
+                    cut = trim_dense(diff, density)
+                    tsq += np.sum(cut * cut)
+                raw.append(float(sq))
+                trimmed_sq.append(float(tsq))
+            assert report.raw_sq_norms == raw
+            assert report.transformed_sq_norms == trimmed_sq
+            for name in sizes:
                 np.testing.assert_allclose(read_tensor(handle, name).values, expect[name],
                                            rtol=2**-23, atol=1e-12)
 
@@ -668,7 +818,7 @@ class TestRunRecipe:
             given = CoefficientSet([t.id for t in specs], [1 / tasks] * tasks, "external")
         peak = traced_peak(lambda: run_recipe(recipe, given))
         bound = merge_peak_buffers(transform, tasks, 2 if dtype == "BF16" else 4,
-                                   two_walks=method == "metagpt")
+                                   two_walks=method == "metagpt", elements=1 << 20)
         assert (bound - 0.1) * buffer <= peak <= bound * buffer + SCRATCH
 
     def test_mid_merge_failure_leaves_no_output(self, tmp_path):
