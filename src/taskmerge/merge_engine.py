@@ -13,30 +13,30 @@ walks twice: norms only, then combine only. The norm-free methods and given
 coefficients fix lambda before any tensor is read, so their merge walks
 once, feeding both sinks, with the same norms and report.
 
-Memory never grows with total model size. The base and the plain sum
-live in working buffers allocated at the size of the largest tensor, once
-per run or walk, so their pages are not faulted in again on every read.
-Without TIES a task diff is never whole: each task's tensor is read raw and
-decoded, diffed, dropped and added one node of at most ``_CHUNK`` elements
-at a time. TIES trims whole diffs: a walk that takes norms decodes each one
-into a diff buffer allocated like the others and trims it there, recording
-the selection. Its combine holds each task's raw read instead of its diff
-and takes one block of ``CHUNK`` elements at a time: it decodes, diffs and
-re-trims every task's block from its selection, then elects signs on it.
-Measured with tracemalloc in float64 buffers B of the largest tensor, for T
-tasks stored with s bytes per element (4 for F32, 2 for BF16), the peak is
-at most the figure below plus a per-block scratch of 1 MiB that does not
-grow with the model:
-  - no transform or DARE, any T: (2 + s/8) * B, the base and the sum plus
-    one stored copy from a raw read or an encoded write;
-  - TIES with the closed form: max(3 * B, (1 + T * s/8) * B + T blocks).
-    The norms walk holds the base, one diff and the magnitudes the trim
-    partitions. The diff buffer goes before combining, which holds the
-    base, T raw reads and one decoded block of each;
-  - TIES with a norm-free method or given coefficients: (3 + (T-1) * s/8)
-    * B, the base, the diff and its magnitudes as the last task is trimmed,
-    and the raw reads of the T - 1 others. That task's trimmed diff is still
-    whole when the walk combines, so it is not read again.
+Memory never grows with total model size, and without TIES not with the
+size of any tensor. Without TIES the walk is node-major: for each node of
+at most ``_CHUNK`` elements of numpy's pairwise tree, the base's range and
+each task's range are read from inputs held open for the walk, decoded,
+diffed, square-summed, dropped, scaled and added while in cache, and the
+node of the sum is appended to the output before the next node is read.
+TIES trims whole diffs: the base is decoded whole into a working buffer
+allocated at the size of the largest tensor, once per run, and a walk that
+takes norms decodes each diff into a second such buffer and trims it there,
+recording the selection. Its combine holds no payload: one block of
+``CHUNK`` elements at a time, it reads each task's block by range, decodes,
+diffs and re-trims it from its selection, then elects signs on it.
+Measured with tracemalloc, for float64 buffers B of the largest tensor, the
+peak is at most:
+  - no transform or DARE, any number of tasks: a fixed 2.5 MiB (2.4 MB
+    measured) of node-sized arrays and one chunk of stored bytes, whatever
+    the size of the tensors;
+  - TIES: 3 * B plus a per-block scratch of 1 MiB that does not grow with
+    the model. The norms walk holds the base, one diff and the magnitudes
+    the trim partitions; combining holds the base, the diff buffer when the
+    walk took norms, and one decoded block of each task.
+Without TIES an input at fault is met node by node, so of two faulty inputs
+of one tensor the error names the one whose fault comes first in (node,
+task) order; TIES decodes each task's whole diff in task order.
 TIES selects once per (task, tensor): the walk that trims a diff records
 the selection, and a later walk rebuilds the same trim from it with one
 compare per element and no partition.
@@ -46,7 +46,6 @@ produces byte-identical output files and reports.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import time
@@ -59,20 +58,14 @@ from . import jsonutil
 from .coefficients import COEFFICIENT_METHODS, NORM_FREE_METHODS, NORM_METHODS, CoefficientSet
 from .errors import RecipeError, ValidationError
 from .rng import CHUNK, drop_threshold, stream_seed, uniform_stream
-from .task_vectors import (
-    StatsAccumulator,
-    blocked_dot,
-    fold,
-    task_nodes,
-    working_buffer,
-)
+from .task_vectors import StatsAccumulator, node_diffs, working_buffer
 from .tensor_store import (
+    _CHUNK,
     CheckpointHandle,
     CheckpointWriter,
-    Payload,
+    RangeReader,
     TensorBuffer,
     open_checkpoint,
-    read_payload,
     read_tensor,
     validate_compatibility,
 )
@@ -317,7 +310,10 @@ def dare_transform(
         raise ValidationError(f"drop probability out of range [0, 1): {p}")
     if p == 0.0:
         return
-    stream, threshold = _stream_and_threshold(p, stream_key)
+    stream = stream_seed(*stream_key)
+    # a numpy scalar: numpy 1.x compares uint64 with a Python int above 2**63
+    # as float64, which would move the threshold
+    threshold = np.uint64(drop_threshold(p))
     for start in range(0, values.size, CHUNK):
         block = values[start : start + CHUNK]
         drop = uniform_stream(stream, block.size, offset + start) < threshold
@@ -327,108 +323,73 @@ def dare_transform(
         np.putmask(block, drop, 0.0)
 
 
-@functools.lru_cache(maxsize=1)
-def _stream_and_threshold(
-    p: float, stream_key: tuple[int, int, str]
-) -> tuple[int, np.uint64]:
-    """The stream of *stream_key* and the draw threshold of *p*. A walk
-    drops the nodes of one (task, tensor) in a row, so the one cached entry
-    derives both once per (task, tensor), not once per node."""
-    # a numpy scalar: numpy 1.x compares uint64 with a Python int above 2**63
-    # as float64, which would move the threshold
-    return stream_seed(*stream_key), np.uint64(drop_threshold(p))
-
-
 def _walk(
-    base: CheckpointHandle,
-    models: list[CheckpointHandle],
+    reader: RangeReader,
     recipe: MergeRecipe,
-    work: tuple[np.ndarray, np.ndarray | None],
+    work: tuple[np.ndarray, np.ndarray | None] | None,
     selections: dict[tuple[int, str], tuple[float, int] | None],
     norms: tuple[StatsAccumulator, StatsAccumulator | None] | None = None,
     combine: tuple[list[float], CheckpointWriter] | None = None,
 ) -> None:
     """One streaming walk over (tensor name, task diffs) in sorted-name order.
 
-    Each diff goes to the sinks given:
+    Input 0 of *reader* is the base and input t + 1 is task t. Each diff goes
+    to the sinks given:
       - norms (raw, transformed): squared norms of the diff and of the
         transformed diff before it is scaled (None: no transform);
       - combine (lambdas, writer): writes base + sum_t lambda_t * tv_t.
 
-    The base lives in the head of the first *work* buffer, which every
-    tensor reuses. Without TIES, each tensor goes through ``_node_sum``;
-    with it, through ``_ties_sum``, which trims each whole diff in the
-    second *work* buffer when it takes norms and needs no such buffer when
-    it only combines.
+    Without TIES the walk is node-major, nodes of ``split`` outside and
+    tasks inside. Each task's node sums fold up the pairwise tree and every
+    element gets base + lambda_0 * tv_0 + lambda_1 * tv_1 + ... in task
+    order, so norms and sum are the bits a whole-tensor walk gives.
 
-    *selections* maps (t, name) to what ``ties_trim`` selected. The walk
-    that takes norms trims and records it; a combining walk without norms
-    rebuilds the same trim from it, block by block, with no partition.
+    With TIES the base is decoded whole into the first *work* buffer and the
+    tensor goes through ``_ties_sum``, which trims each whole diff in the
+    second when it takes norms and needs no such buffer when it only
+    combines. *selections* maps (t, name) to what ``ties_trim`` selected.
+    The walk that takes norms trims and records it; a combining walk without
+    norms rebuilds the same trim from it, block by block, with no partition.
     """
     raw, transformed = norms or (None, None)
     lambdas, writer = combine or (None, None)
-    base_work, diff_work = work
+    base = reader.handles[0]
     ties = recipe.transform == "ties"
-    sum_work = working_buffer(base) if writer is not None and not ties else None
+    sum_work = np.empty(_CHUNK) if writer is not None and not ties else None
     for name in sorted(base.index):
-        base_buf = read_tensor(base, name, out=base_work)
+        meta = base.index[name]
         if ties:
-            out = _ties_sum(name, base_buf.values, models, recipe, diff_work, selections,
+            base_buf = read_tensor(base, name, out=work[0])
+            out = _ties_sum(reader, name, base_buf.values, recipe, work[1], selections,
                             raw, transformed, lambdas)
-        else:
-            out = _node_sum(name, base_buf.values, models, recipe, raw, transformed,
-                            lambdas, sum_work)
-        if writer is not None:
-            writer.write(TensorBuffer(name, base_buf.shape, out))
-
-
-def _node_sum(
-    name: str,
-    base_values: np.ndarray,
-    models: list[CheckpointHandle],
-    recipe: MergeRecipe,
-    raw: StatsAccumulator | None,
-    transformed: StatsAccumulator | None,
-    lambdas: list[float] | None,
-    sum_work: np.ndarray | None,
-) -> np.ndarray | None:
-    """Norms and, given *lambdas*, base + sum_t lambda_t * tv_t of one
-    tensor with no transform or DARE, in the head of *sum_work*.
-
-    Tasks go in the outer loop and the nodes of ``split`` in the inner one:
-    each node is decoded, diffed, square-summed, dropped, square-summed
-    again, scaled and added while it is in cache, and each task's node sums
-    are folded up the pairwise tree. Every step is elementwise, so norms
-    and sum are the bits a whole-tensor diff would give.
-    """
-    n = base_values.size
-    out = None
-    if lambdas is not None:
-        out = sum_work[:n]
-        np.copyto(out, base_values)
-    for t, nodes in task_nodes(name, base_values, models):
-        raw_sums, transformed_sums = [], []
-        for lo, node in nodes:
-            if raw is not None:
-                raw_sums.append(blocked_dot(node, node))
-            if recipe.transform == "dare":
-                dare_transform(node, recipe.dare_p, (recipe.seed, t, name), lo)
-            if transformed is not None:
-                transformed_sums.append(blocked_dot(node, node))
-            if out is not None:
-                node *= lambdas[t]
-                out[lo : lo + node.size] += node
-        if raw is not None:
-            raw.add_sq(t, fold(n, raw_sums))
-        if transformed is not None:
-            transformed.add_sq(t, fold(n, transformed_sums))
-    return out
+            if writer is not None:
+                writer.write(TensorBuffer(name, meta.shape, out))
+            continue
+        for lo, base_node, diffs in node_diffs(reader, name):
+            if writer is not None:
+                node_sum = sum_work[: base_node.size]
+                np.copyto(node_sum, base_node)
+            for t, v in diffs:
+                if raw is not None:
+                    raw.add_node(t, v)
+                if recipe.transform == "dare":
+                    dare_transform(v, recipe.dare_p, (recipe.seed, t, name), lo)
+                if transformed is not None:
+                    transformed.add_node(t, v)
+                if writer is not None:
+                    v *= lambdas[t]
+                    node_sum += v
+            if writer is not None:
+                writer.append(name, meta.shape, node_sum)
+        for acc in (raw, transformed):
+            if acc is not None:
+                acc.fold_nodes(meta.num_elements)
 
 
 def _ties_sum(
+    reader: RangeReader,
     name: str,
     base_values: np.ndarray,
-    models: list[CheckpointHandle],
     recipe: MergeRecipe,
     diff_work: np.ndarray | None,
     selections: dict[tuple[int, str], tuple[float, int] | None],
@@ -441,35 +402,28 @@ def _ties_sum(
 
     Taking norms, each task's diff is decoded whole into *diff_work*,
     square-summed, trimmed (its selection recorded) and square-summed again.
-    Combining holds each task's raw payload, not its diff: ``_elect`` takes
-    one block at a time, for which each payload is decoded, diffed and
+    Combining holds no payload and no diff: ``_elect`` takes one block at a
+    time, for which each task's block is read by range, decoded, diffed and
     trimmed again by replaying its selection. A walk that takes norms too
     reads its last task no second time, as that task's trimmed diff is
-    still whole in *diff_work*. A payload that is not held goes before the
-    trim partitions.
+    still whole in *diff_work*.
     """
     n = base_values.size
-    holders = [t for t, model in enumerate(models) if name in model.index]
-    held = []
-    for t in holders:
-        payload = read_payload(models[t], name)
-        if raw is None:
-            held.append((t, payload))
-            continue
+    holders = [t for t, model in enumerate(reader.handles[1:]) if name in model.index]
+    if raw is not None:
         diff = diff_work[:n]
-        payload.decode(0, n, diff)
-        diff -= base_values
-        if lambdas is not None and t != holders[-1]:
-            held.append((t, payload))
-        del payload  # unless held, before the partition adds |v|
-        raw.add_partial(t, diff)
-        selections[t, name] = ties_trim(diff, recipe.ties_density)
-        if transformed is not None:
-            transformed.add_partial(t, diff)
+        for t in holders:
+            reader.decode(t + 1, name, 0, n, diff)
+            diff -= base_values
+            raw.add_partial(t, diff)
+            selections[t, name] = ties_trim(diff, recipe.ties_density)
+            if transformed is not None:
+                transformed.add_partial(t, diff)
     if lambdas is None or not holders:
         return base_values
-    tasks = [(lambdas[t], _replay(payload, base_values, selections[t, name]))
-             for t, payload in held]
+    replayed = holders if raw is None else holders[:-1]
+    tasks = [(lambdas[t], _replay(reader, t, name, base_values, selections[t, name]))
+             for t in replayed]
     if raw is not None:
         tasks.append((lambdas[holders[-1]], lambda lo, hi: diff_work[lo:hi]))
     _elect(base_values, tasks)
@@ -477,16 +431,20 @@ def _ties_sum(
 
 
 def _replay(
-    payload: Payload, base_values: np.ndarray, selection: tuple[float, int] | None
+    reader: RangeReader,
+    t: int,
+    name: str,
+    base_values: np.ndarray,
+    selection: tuple[float, int] | None,
 ) -> Callable[[int, int], np.ndarray]:
-    """A fetch for ``_elect``: the diff of *payload* over ``[lo, hi)``,
-    decoded into a block of its own, less the base, and trimmed as
-    *selection* says."""
+    """A fetch for ``_elect``: task t's diff over ``[lo, hi)``, read by
+    range and decoded into a block of its own, less the base, and trimmed
+    as *selection* says."""
     node_work = np.empty(min(CHUNK, base_values.size))
 
     def fetch(lo: int, hi: int) -> np.ndarray:
         node = node_work[: hi - lo]
-        payload.decode(lo, hi, node)
+        reader.decode(t + 1, name, lo, hi, node)
         node -= base_values[lo:hi]
         if selection is not None:
             thr, last = selection
@@ -562,36 +520,37 @@ def run_recipe(
     raw = StatsAccumulator(task_ids)
     transformed = StatsAccumulator(task_ids) if recipe.transform != "none" else None
     norms = (raw, transformed)
-    # TIES trims each whole diff in a second full-size buffer; other diffs
-    # take one node at a time
-    work = (working_buffer(base), working_buffer(base) if recipe.transform == "ties" else None)
+    # TIES decodes the base whole, and trims each whole diff in a second
+    # buffer; other merges read one node at a time
+    work = None
+    if recipe.transform == "ties":
+        work = (working_buffer(base), working_buffer(base))
     selections: dict[tuple[int, str], tuple[float, int] | None] = {}
     coeffs = coeffs_override
     if coeffs is None and recipe.method in NORM_FREE_METHODS:
         coeffs = NORM_FREE_METHODS[recipe.method](task_ids, recipe.fixed_lambda)
-    if coeffs is None:
-        # the coefficients read norms: take them all before combining anything
-        _walk(base, models, recipe, work, selections, norms=norms)
-        use_raw = recipe.norm_source == "raw" or transformed is None
-        coeffs = NORM_METHODS[recipe.method]((raw if use_raw else transformed).finalize())
-        norms = None
-        # without norms, combining replays each trim block by block: the
-        # diff buffer goes before the payloads are read
-        work = (work[0], None)
-
     specs = [
         (name, meta.shape, "F32" if recipe.output_dtype == "F32" else meta.dtype)
         for name, meta in base.index.items()
     ]
-    writer = CheckpointWriter(recipe.output, specs, metadata=base.metadata)
-    try:
-        _walk(
-            base, models, recipe, work, selections,
-            norms=norms, combine=(coeffs.lambdas, writer),
-        )
-    except Exception:
-        writer.abort()
-        raise
+    with RangeReader([base, *models]) as reader:
+        if coeffs is None:
+            # the coefficients read norms: take them all before combining
+            _walk(reader, recipe, work, selections, norms=norms)
+            use_raw = recipe.norm_source == "raw" or transformed is None
+            coeffs = NORM_METHODS[recipe.method]((raw if use_raw else transformed).finalize())
+            norms = None
+            if work is not None:
+                # without norms, combining replays each trim block by block:
+                # the diff buffer goes first
+                work = (work[0], None)
+        writer = CheckpointWriter(recipe.output, specs, metadata=base.metadata)
+        try:
+            _walk(reader, recipe, work, selections,
+                  norms=norms, combine=(coeffs.lambdas, writer))
+        except Exception:
+            writer.abort()
+            raise
     writer.close()
 
     merge_report = MergeReport(

@@ -15,6 +15,7 @@ integer compare ``z < drop_threshold(p)``, exact for every p in [0, 1).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -46,9 +47,16 @@ def fnv1a64(data: bytes | str) -> int:
     return h
 
 
+@functools.lru_cache(maxsize=1)
+def _name_hash(tensor_name: str) -> int:
+    # a walk derives the streams of every task of one tensor in a row, so
+    # one entry hashes each name once
+    return fnv1a64(tensor_name)
+
+
 def stream_seed(seed: int, task_index: int, tensor_name: str) -> int:
     """Derive the per-(task, tensor) stream seed from the recipe seed."""
-    return (seed ^ fnv1a64(tensor_name) ^ ((task_index * GAMMA) & _MASK64)) & _MASK64
+    return (seed ^ _name_hash(tensor_name) ^ ((task_index * GAMMA) & _MASK64)) & _MASK64
 
 
 def _splitmix64_mix(z: np.ndarray, tmp: np.ndarray) -> None:

@@ -11,9 +11,10 @@ tensor, then a sequential fold over tensors in sorted-name order. Two runs
 over the same files give bit-identical results. ``split`` cuts a tensor into
 the nodes of numpy's pairwise tree and ``fold`` adds their sums back up the
 same tree, so a sum taken node by node is still exactly ``np.sum(a * b)``.
-Products are made one leaf (``_LEAF`` elements at most) at a time, and a
-walk over task diffs decodes and diffs one node (the codec's ``_CHUNK``) at
-a time, so neither makes a full-size temporary.
+Products are made one leaf (``_LEAF`` elements at most) at a time, and
+``node_diffs`` walks a tensor one node (the codec's ``_CHUNK``) at a time,
+reading the node by range from the base and from every model, so neither
+makes a full-size temporary.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import ValidationError
 from .tensor_store import (
     _CHUNK,
     CheckpointHandle,
-    read_payload,
+    RangeReader,
     read_tensor,
     validate_compatibility,
 )
@@ -138,29 +139,34 @@ def task_diffs(
             yield t, diff
 
 
-def task_nodes(
-    name: str, base_values: np.ndarray, models: list[CheckpointHandle]
-) -> Iterator[tuple[int, Iterator[tuple[int, np.ndarray]]]]:
-    """Yield (t, nodes) for each model that holds *name*, where nodes yields
-    (lo, model_t[name][lo:hi] - base[lo:hi]) for each node ``[lo, hi)`` of
-    ``split(n)``, all from one raw read of task t's tensor.
+def node_diffs(
+    reader: RangeReader, name: str
+) -> Iterator[tuple[int, np.ndarray, Iterator[tuple[int, np.ndarray]]]]:
+    """Walk tensor *name* node by node: yield (lo, base node, diffs) for
+    each node ``[lo, hi)`` of ``split(n)``, where diffs yields (t,
+    model_t[name][lo:hi] - base[lo:hi]) for each model that holds *name*.
 
-    Every node of every task is decoded into one node-sized array, so the
-    caller must be done with a node before asking for the next; no
-    full-size diff is made. A model lacking the name is skipped.
+    Input 0 of *reader* is the base and input t + 1 is model t. Each node is
+    read by range from every input and decoded into one of two node-sized
+    arrays, the base's and the diffs', so the caller must be done with a
+    diff before asking for the next one; no tensor-sized array is made.
     """
-    scratch = np.empty(min(base_values.size, _CHUNK))
+    base, models = reader.handles[0], reader.handles[1:]
+    holders = [t for t, model in enumerate(models) if name in model.index]
+    n = base.index[name].num_elements
+    base_node, diff = np.empty(min(n, _CHUNK)), np.empty(min(n, _CHUNK))
 
-    def nodes(payload):
-        for lo, hi in split(base_values.size):
-            node = scratch[: hi - lo]
-            payload.decode(lo, hi, node)
-            node -= base_values[lo:hi]
-            yield lo, node
+    def diffs(lo, b):
+        for t in holders:
+            v = diff[: b.size]
+            reader.decode(t + 1, name, lo, lo + b.size, v)
+            v -= b
+            yield t, v
 
-    for t, model in enumerate(models):
-        if name in model.index:
-            yield t, nodes(read_payload(model, name))
+    for lo, hi in split(n):
+        b = base_node[: hi - lo]
+        reader.decode(0, name, lo, hi, b)
+        yield lo, b, diffs(lo, b)
 
 
 class StatsAccumulator:
@@ -168,8 +174,9 @@ class StatsAccumulator:
     vectors, one tensor at a time. Works from file streams or raw arrays.
 
     Norms-only callers can feed one task diff at a time via ``add_partial``,
-    or its squared norm, folded from node sums, via ``add_sq``; the Gram
-    path needs every task's diff for a tensor at once, via ``add_tensor``.
+    or one node of it at a time via ``add_node`` and then ``fold_nodes``;
+    the Gram path needs every task's diff for a tensor at once, via
+    ``add_tensor``.
     """
 
     def __init__(self, task_ids: list[str], want_gram: bool = False):
@@ -179,12 +186,21 @@ class StatsAccumulator:
         t = len(task_ids)
         self._sq = np.zeros(t, dtype=np.float64)
         self._gram = np.zeros((t, t), dtype=np.float64) if want_gram else None
-
-    def add_sq(self, t: int, sq: float) -> None:
-        self._sq[t] += sq
+        self._nodes: dict[int, list[float]] = {}
 
     def add_partial(self, t: int, diff: np.ndarray) -> None:
-        self.add_sq(t, blocked_dot(diff, diff))
+        self._sq[t] += blocked_dot(diff, diff)
+
+    def add_node(self, t: int, node: np.ndarray) -> None:
+        """Take the squared sum of task t's next node of ``split(n)``."""
+        self._nodes.setdefault(t, []).append(blocked_dot(node, node))
+
+    def fold_nodes(self, n: int) -> None:
+        """Fold each task's node sums of one tensor of n elements up the
+        pairwise tree, as ``add_partial`` of the whole diff would."""
+        for t, sums in self._nodes.items():
+            self._sq[t] += fold(n, sums)
+        self._nodes.clear()
 
     def add_tensor(self, diffs: dict[int, np.ndarray]) -> None:
         """Fold one tensor's task diffs in. Absent indices contribute zero."""
@@ -222,9 +238,10 @@ def compute_stats(
     Strict mode rejects any name drift; lenient mode lets tensors missing
     from a model contribute zero to its statistics (they are reported in
     ``missing_names``). Shape mismatches on common names are always fatal.
-    Peak memory is single-tensor buffers, never a whole model: the base
-    tensor and one raw read, plus every task's diff of a tensor when the
-    Gram matrix is wanted.
+    Without the Gram matrix the walk is node-major, as a merge's: each node
+    is read by range from every input, so memory does not grow with any
+    tensor. The Gram pairs need the base tensor and every task's diff of a
+    tensor at once.
     """
     if not models:
         raise ValidationError("need at least one model")
@@ -237,15 +254,19 @@ def compute_stats(
     report.require(strict)
 
     acc = StatsAccumulator(task_ids, want_gram)
-    base_work = working_buffer(base)
-    for name in sorted(base.index):
-        base_values = read_tensor(base, name, out=base_work).values
-        if want_gram:
+    if want_gram:
+        base_work = working_buffer(base)
+        for name in sorted(base.index):
+            base_values = read_tensor(base, name, out=base_work).values
             # the Gram pairs need every diff of a tensor at once
             acc.add_tensor(dict(task_diffs(name, base_values, models)))
-            continue
-        for t, nodes in task_nodes(name, base_values, models):
-            acc.add_sq(t, fold(base_values.size, (blocked_dot(v, v) for _, v in nodes)))
+    else:
+        with RangeReader([base, *models]) as reader:
+            for name in sorted(base.index):
+                for _, _, diffs in node_diffs(reader, name):
+                    for t, v in diffs:
+                        acc.add_node(t, v)
+                acc.fold_nodes(base.index[name].num_elements)
     stats = acc.finalize()
     stats.missing_names = report.missing_from(base, models, task_ids) or None
     return stats

@@ -11,12 +11,15 @@ Tensors are decoded to flat float64 arrays; the storage dtype is metadata.
 Non-finite values are rejected on both read and write: a silent NaN in a
 checkpoint corrupts every model merged from it.
 
-The codec works through a tensor in chunks of ``_CHUNK`` elements. A read
-keeps a tensor's stored bytes undecoded (``read_payload``), and decoding
-widens any range of them into a float64 array the caller gives: a whole
-tensor for ``read_tensor``, one node of a reduction for a streaming walk.
-Encoding narrows into one result of the storage dtype, which the writer
-writes without a copy.
+The codec works through a tensor in chunks of ``_CHUNK`` elements.
+``read_payload`` reads the stored bytes of any element range of a tensor,
+undecoded, and ``Payload.decode`` widens them into a float64 array the
+caller gives. A ``RangeReader`` holds a walk's inputs open and reads every
+range a chunk at a time into one reused byte buffer: a whole tensor for
+``read_tensor``, one node of a reduction for a streaming walk. Encoding
+narrows each piece into one result of the storage dtype, which the writer
+appends without a copy: ``CheckpointWriter.append`` takes a tensor in any
+number of pieces, ``write`` takes it whole.
 Scratch arrays hold one chunk, so no full-size temporary is made. A value is
 inf or NaN exactly when its exponent bits are all ones, so the read check
 runs on the stored bits before any cast (a signaling NaN never reaches a
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -123,7 +127,7 @@ def _any_nonfinite(bits: np.ndarray, exponent: int, scratch: np.ndarray) -> bool
 
 @dataclass
 class Payload:
-    """The stored bytes of one tensor, read whole from its file, as unsigned
+    """The stored bytes of one element range of a tensor, as unsigned
     integers of the storage width; ``decode`` widens any range of them."""
 
     path: str
@@ -274,20 +278,64 @@ def open_checkpoint(path: str) -> CheckpointHandle:
     )
 
 
-def read_payload(handle: CheckpointHandle, name: str) -> Payload:
-    """Read one tensor's stored bytes, undecoded; they count in
-    ``handle.bytes_read``."""
+def read_payload(
+    handle: CheckpointHandle, name: str, lo: int, hi: int, file: BinaryIO, raw: bytearray
+) -> Payload:
+    """Read stored elements ``lo .. hi-1`` of one tensor, undecoded, from
+    *file*, open on the handle's path, into the head of *raw*. The payload
+    is a view of *raw*, valid until the next read into it; the bytes count
+    in ``handle.bytes_read``."""
     meta = handle.index.get(name)
     if meta is None:
         raise ValidationError(f"{handle.path}: no tensor named '{name}'")
-    with open(handle.path, "rb") as f:
-        f.seek(handle.data_start + meta.byte_range[0])
-        raw = f.read(meta.num_bytes)
-    if len(raw) != meta.num_bytes:
+    width = DTYPE_SIZES[meta.dtype]
+    buf = memoryview(raw)[: (hi - lo) * width]
+    file.seek(handle.data_start + meta.byte_range[0] + lo * width)
+    if file.readinto(buf) != (hi - lo) * width:
         raise FormatError(f"{handle.path}: truncated payload for '{name}'")
-    handle.bytes_read += len(raw)
-    bits = np.frombuffer(raw, dtype=_LAYOUT[meta.dtype][1])
+    handle.bytes_read += buf.nbytes
+    bits = np.frombuffer(buf, dtype=_LAYOUT[meta.dtype][1])
     return Payload(handle.path, name, meta.dtype, bits)
+
+
+class RangeReader:
+    """Checkpoints held open for one walk and read by element range.
+
+    ``decode`` reads and widens a range one chunk of at most *largest* and
+    ``_CHUNK`` elements at a time, every chunk into one reused byte buffer,
+    so no stored copy of a whole tensor is made. Use it as a context
+    manager: leaving it closes every file, on success and on error.
+    """
+
+    def __init__(self, handles: list[CheckpointHandle], largest: int = _CHUNK):
+        self.handles = handles
+        self._step = max(1, min(largest, _CHUNK))
+        self._files: list[BinaryIO] = []
+        try:
+            for handle in handles:
+                self._files.append(open(handle.path, "rb"))
+        except BaseException:
+            self.close()
+            raise
+        self._raw = bytearray(self._step * max(DTYPE_SIZES.values()))
+
+    def decode(self, i: int, name: str, lo: int, hi: int, out: np.ndarray) -> None:
+        """Widen stored elements ``lo .. hi-1`` of tensor *name* of input *i*
+        into the flat float64 *out* of ``hi - lo`` values."""
+        for start in range(lo, hi, self._step):
+            stop = min(start + self._step, hi)
+            payload = read_payload(self.handles[i], name, start, stop, self._files[i], self._raw)
+            payload.decode(0, stop - start, out[start - lo : stop - lo])
+
+    def close(self) -> None:
+        for f in self._files:
+            f.close()
+
+    def __enter__(self) -> "RangeReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def read_tensor(
@@ -298,26 +346,26 @@ def read_tensor(
     Given a flat float64 *out* of at least the tensor's size, the values are
     decoded into ``out[:n]`` and the buffer is a view of it; otherwise they
     go to a new array. Reusing *out* spares the page faults of a fresh
-    full-size array on every read.
+    full-size array on every read. The stored bytes are read one chunk at a
+    time, so no stored copy of the tensor is made.
     """
     meta = handle.index.get(name)
-    if meta is not None and out is not None and (
-        out.dtype != np.float64 or out.ndim != 1 or out.size < meta.num_elements
-    ):
-        raise ValidationError(
-            f"'{name}' needs a flat float64 buffer of {meta.num_elements} values"
-        )
-    payload = read_payload(handle, name)
-    n = payload.bits.size
+    if meta is None:
+        raise ValidationError(f"{handle.path}: no tensor named '{name}'")
+    n = meta.num_elements
+    if out is not None and (out.dtype != np.float64 or out.ndim != 1 or out.size < n):
+        raise ValidationError(f"'{name}' needs a flat float64 buffer of {n} values")
     values = np.empty(n) if out is None else out[:n]
-    payload.decode(0, n, values)
+    with RangeReader([handle], n) as reader:
+        reader.decode(0, name, 0, n, values)
     return TensorBuffer(name=name, shape=meta.shape, values=values)
 
 
 class CheckpointWriter:
     """Incremental writer: declare all tensors up front, then stream values.
 
-    Tensors must be supplied in sorted-name order (the declared layout).
+    Tensors must be supplied in sorted-name order (the declared layout),
+    each whole (``write``) or in pieces (``append``).
     Data lands in a temp file ``<path>.<hex>.partial`` that is atomically
     renamed on close, so an aborted write never leaves a partial checkpoint
     behind. Nothing removes the temp file of a killed process: a sweep could
@@ -346,7 +394,7 @@ class CheckpointWriter:
         if metadata is not None:
             header["__metadata__"] = dict(sorted(metadata.items()))
         offset = 0
-        self._specs: dict[str, tuple[tuple[int, ...], str]] = {}
+        self._specs: dict[str, tuple[tuple[int, ...], str, int]] = {}
         for name, shape, dtype in self._order:
             n = 1
             for d in shape:
@@ -358,7 +406,7 @@ class CheckpointWriter:
                 "data_offsets": [offset, offset + size],
             }
             offset += size
-            self._specs[name] = (tuple(shape), dtype)
+            self._specs[name] = (tuple(shape), dtype, n)
 
         header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
         # a temp name of its own, so two writers to one path never share it;
@@ -367,39 +415,63 @@ class CheckpointWriter:
         self._file = open(self._tmp_path, "xb")
         self._file.write(len(header_bytes).to_bytes(8, "little"))
         self._file.write(header_bytes)
-        self._next = 0
+        self._next = 0  # declared tensors begun
+        self._current: str | None = None  # the last one begun
+        self._left = 0  # its values not yet written
 
     def write(self, buf: TensorBuffer) -> None:
-        if self._next >= len(self._order):
-            self.abort()
-            raise ValidationError("all declared tensors already written")
-        expected_name = self._order[self._next][0]
-        if buf.name != expected_name:
-            self.abort()
-            raise ValidationError(
-                f"tensors must be written in sorted order: got '{buf.name}', "
-                f"expected '{expected_name}'"
-            )
-        shape, dtype = self._specs[buf.name]
-        if buf.shape != shape:
-            self.abort()
-            raise ValidationError(f"tensor '{buf.name}': shape {buf.shape} != declared {shape}")
-        if not np.isfinite(buf.values).all():
-            self.abort()
-            raise ValidationError(f"tensor '{buf.name}': non-finite value")
+        """Write the next tensor whole."""
+        self.append(buf.name, buf.shape, buf.values)
+
+    def append(self, name: str, shape: tuple[int, ...], values: np.ndarray) -> None:
+        """Append the flat float64 *values* to tensor *name* of the declared
+        *shape*: the next values of the tensor being written, or the first
+        of the next declared one. A tensor may come in any number of pieces;
+        one left short fails at the next tensor or at ``close``. Any failure
+        aborts the write."""
         try:
-            encoded = _encode(buf.values, dtype, buf.name)
+            if name != self._current:
+                if self._left:
+                    raise self._short()
+                if self._next >= len(self._order):
+                    raise ValidationError("all declared tensors already written")
+                expected_name = self._order[self._next][0]
+                if name != expected_name:
+                    raise ValidationError(
+                        f"tensors must be written in sorted order: got '{name}', "
+                        f"expected '{expected_name}'"
+                    )
+                self._next += 1
+                self._current, self._left = name, self._specs[name][2]
+            declared, dtype, size = self._specs[name]
+            if shape != declared:
+                raise ValidationError(f"tensor '{name}': shape {shape} != declared {declared}")
+            if values.size > self._left:
+                raise ValidationError(
+                    f"tensor '{name}': more than {size} values for shape {list(declared)}"
+                )
+            if not np.isfinite(values).all():
+                raise ValidationError(f"tensor '{name}': non-finite value")
+            encoded = _encode(values, dtype, name)
         except Exception:
             self.abort()
             raise
         self._file.write(memoryview(encoded).cast("B"))
-        self._next += 1
+        self._left -= values.size
+
+    def _short(self) -> ValidationError:
+        size = self._specs[self._current][2]
+        return ValidationError(
+            f"tensor '{self._current}': only {size - self._left} of {size} values written"
+        )
 
     def close(self) -> None:
         if self._file is None:
             return
-        if self._next != len(self._order):
+        if self._left or self._next != len(self._order):
             self.abort()
+            if self._left:
+                raise self._short()
             raise ValidationError(
                 f"only {self._next} of {len(self._order)} declared tensors written"
             )

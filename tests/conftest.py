@@ -1,14 +1,25 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from taskmerge import TensorBuffer, write_checkpoint
-from taskmerge.rng import CHUNK
 
 # Headroom for the engine's per-block scratch (draws, masks, signs, codec
 # chunks). It does not grow with the model.
 SCRATCH = 1 << 20
+
+# Traced peaks of a walk node by node, in bytes: the node-sized float64
+# arrays (base and diff, plus the sum when merging), one chunk of stored
+# bytes, and the scratch of the codec, the reduction and the draws. Taken
+# from the measured peaks, 2.38-2.45 MB for plain and DARE merges and
+# 1.65-1.71 MB for compute_stats without the Gram matrix, at 2**20 and
+# 2**22 elements alike. A peak more than NODE_PEAK_SLACK below its figure
+# fails too, so the figure stays tight.
+NODE_MERGE_PEAK = 5 << 19  # 2.5 MiB
+NODE_STATS_PEAK = 7 << 18  # 1.75 MiB
+NODE_PEAK_SLACK = 3 << 17  # 384 KiB
 
 
 def write_ckpt(path, arrays, dtype="F32", metadata=None):
@@ -31,24 +42,31 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def merge_peak_buffers(
-    transform: str, tasks: int, stored_bytes: int, two_walks: bool, elements: int
-) -> float:
-    """The documented traced peak of a merge, before SCRATCH, in float64
-    buffers of its largest tensor, of *elements* values. *stored_bytes* per
-    element: 4 for F32, 2 for BF16. *two_walks*: the closed form takes norms
-    before combining."""
-    stored = stored_bytes / 8  # one raw read or encoded write
+def merge_peak_range(transform: str, elements: int) -> tuple[int, int]:
+    """The documented traced peak of a merge whose largest tensor holds
+    *elements* values, as the (lowest, highest) bytes a measurement may
+    show. Without TIES the walk goes node by node and the peak is a fixed
+    figure, whatever the tensors' size. TIES holds three float64 buffers of
+    the largest tensor: the base, one diff and the magnitudes the trim
+    partitions; the lowest is 0.1 buffer below that."""
     if transform != "ties":
-        return 2 + stored  # base, sum; each diff takes one node at a time
-    if two_walks:
-        # the norms walk holds the base, one diff and the magnitudes the trim
-        # partitions; combining, the base, T raw reads and a decoded block
-        # of each
-        block = min(CHUNK, elements) / elements
-        return max(3, 1 + tasks * (stored + block))
-    # one walk: base, the last diff, its magnitudes and T - 1 raw reads
-    return 3 + (tasks - 1) * stored
+        return NODE_MERGE_PEAK - NODE_PEAK_SLACK, NODE_MERGE_PEAK
+    buffer = 8 * elements
+    return int(2.9 * buffer), 3 * buffer + SCRATCH
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_fds():
+    """Fail a test that leaves more file descriptors open than it found.
+    Counts /proc/self/fd, so the check runs on Linux only."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = len(os.listdir("/proc/self/fd"))
+    yield
+    after = len(os.listdir("/proc/self/fd"))
+    if after > before:
+        pytest.fail(f"{after - before} file descriptor(s) left open")
 
 
 @pytest.fixture

@@ -379,10 +379,24 @@ class TestLastNodeFaults:
                                     via):
         self.check_truncated(capsys, tmp_path, monkeypatch, after_open, via, method, "ties")
 
+    @pytest.mark.parametrize("via", ["api", "cli"])
+    @pytest.mark.parametrize("transform", ["none", "dare", "ties"])
+    @pytest.mark.parametrize("node", [0, 1], ids=["first", "middle"])
+    def test_truncated_after_open_in_an_earlier_node(self, capsys, tmp_path, monkeypatch,
+                                                     node, transform, via):
+        self.check_truncated(capsys, tmp_path, monkeypatch, True, via, "metagpt", transform,
+                             node)
+
     def check_truncated(self, capsys, tmp_path, monkeypatch, after_open, via, method,
-                        transform):
+                        transform, node=None):
         recipe, last = self.write_family(tmp_path, "BF16", method, transform)
-        size = os.path.getsize(last) - 2  # "z" is stored last: cut its last node
+        # "z" is stored last: cut its last value, or all but one byte of
+        # the given node
+        size = os.path.getsize(last) - 2
+        if node is not None:
+            handle = open_checkpoint(last)
+            lo, _ = list(split(self.N))[node]
+            size = handle.data_start + handle.index["z"].byte_range[0] + 2 * lo + 1
 
         def truncating_open(path, _open=merge_engine.open_checkpoint):
             handle = _open(path)
@@ -396,6 +410,22 @@ class TestLastNodeFaults:
             os.truncate(last, size)
         self.assert_fails_cleanly(capsys, tmp_path, via, recipe, FormatError,
                                   f"{last}: truncated payload for 'z'")
+
+    @pytest.mark.parametrize("transform,named", [("none", 1), ("dare", 1), ("ties", 0)])
+    def test_two_faulty_inputs_name_the_first_read(self, capsys, tmp_path, transform, named):
+        # task 0's "z" is bad in its last node and task 1's in its first.
+        # Node by node, task 1's first node is read before task 0's last;
+        # TIES decodes each task's whole diff in task order
+        recipe, _ = self.write_family(tmp_path, "BF16", "metagpt", transform)
+        models = [tmp_path / f"m{t}.st" for t in range(2)]
+        nodes = list(split(self.N))
+        for path, (lo, _) in zip(models, (nodes[-1], nodes[0])):
+            handle = open_checkpoint(str(path))
+            with open(path, "r+b") as f:
+                f.seek(handle.data_start + handle.index["z"].byte_range[0] + 2 * lo)
+                f.write(BAD_BITS["BF16", "nan"])
+        self.assert_fails_cleanly(capsys, tmp_path, "cli", recipe, ValidationError,
+                                  f"{models[named]}: non-finite value in 'z'")
 
 
 class TestVerify:

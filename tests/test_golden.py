@@ -17,6 +17,7 @@ binades to round.
 import hashlib
 import itertools
 import json
+import math
 import os
 from pathlib import Path
 
@@ -24,8 +25,9 @@ import numpy as np
 import pytest
 
 from taskmerge import CoefficientSet, MergeRecipe, TaskSpec, compute_stats, merge_engine
-from taskmerge import open_checkpoint, run_recipe, task_vectors
+from taskmerge import open_checkpoint, run_recipe, tensor_store
 from taskmerge.coefficients import COEFFICIENT_METHODS
+from taskmerge.task_vectors import split
 from taskmerge.tensor_store import _CHUNK
 
 from conftest import write_ckpt
@@ -136,19 +138,19 @@ READ_CASES = [
 @pytest.mark.parametrize("method,override,walks", READ_CASES)
 def test_norm_free_merges_read_each_tensor_once(tmp_path, monkeypatch, method, override, walks):
     rng = np.random.default_rng(3)
-    names = {"x": (4,), "y": (2, 3), "z": (5,)}
+    names = {"x": (4,), "y": (2, 3), "z": (_CHUNK + 5,)}  # "z" splits into two nodes
     paths = [
         write_ckpt(tmp_path / f"{i}.st", {n: exact_values(rng, s) for n, s in names.items()})
         for i in range(3)
     ]
-    # every read of a tensor: decoded whole, or its raw payload for a node walk
+    # every read of stored bytes is a ranged one
     reads = []
-    for module, attr in ((merge_engine, "read_tensor"), (task_vectors, "read_tensor"),
-                         (task_vectors, "read_payload")):
-        def counted(handle, name, _read=getattr(module, attr), **kw):
-            reads.append(name)
-            return _read(handle, name, **kw)
-        monkeypatch.setattr(module, attr, counted)
+
+    def counted(handle, name, lo, hi, *args, _read=tensor_store.read_payload):
+        reads.append((handle.path, name, lo, hi))
+        return _read(handle, name, lo, hi, *args)
+
+    monkeypatch.setattr(tensor_store, "read_payload", counted)
     handles = []
 
     def opened(path, _open=merge_engine.open_checkpoint):
@@ -164,7 +166,10 @@ def test_norm_free_merges_read_each_tensor_once(tmp_path, monkeypatch, method, o
     )
     coeffs = CoefficientSet(["a", "b"], [0.5, 0.25], "external")
     run_recipe(recipe, coeffs_override=coeffs if override else None)
-    assert len(reads) == walks * len(paths) * len(names)
+    # each walk reads every node of every tensor from every input once
+    nodes = [(name, lo, hi) for name, shape in names.items()
+             for lo, hi in split(math.prod(shape))]
+    assert sorted(reads) == sorted(walks * [(p, *node) for p in paths for node in nodes])
     # each input's header once, then every payload once per walk
     inputs = handles[: len(paths)]
     assert [h.path for h in inputs] == paths

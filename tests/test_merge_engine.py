@@ -27,7 +27,7 @@ from taskmerge import (
     ties_trim,
 )
 
-from conftest import SCRATCH, merge_peak_buffers, traced_peak, write_ckpt
+from conftest import SCRATCH, merge_peak_range, traced_peak, write_ckpt
 from dense_reference import dare_mask_dense, read_checkpoint_dense, reference_merge, trim_dense
 
 
@@ -393,9 +393,10 @@ class TestTiesWalk:
                 np.testing.assert_allclose(read_tensor(handle, name).values, expect[name],
                                            atol=1e-6)
 
-    def test_traced_peak_of_combining_is_raw_reads(self, tmp_path):
-        # T = 8 F32: combining holds the base, eight raw reads of half a
-        # buffer and a decoded block of each, more than the norms walk's 3
+    def test_traced_peak_of_combining_holds_no_payload(self, tmp_path):
+        # T = 8 F32: combining reads each task's blocks by range, so the
+        # eight raw reads of half a buffer each that it once held are gone
+        # and the norms walk's three buffers set the peak
         n, tasks = 1 << 20, 8
         specs, base_p = ties_family(tmp_path, {"emb": (1024, 1024), "w": (256, 64)},
                                     tasks, "F32")
@@ -404,9 +405,8 @@ class TestTiesWalk:
             method="metagpt", transform="ties", ties_density=0.2,
         )
         peak = traced_peak(lambda: run_recipe(recipe))
-        bound = merge_peak_buffers("ties", tasks, 4, two_walks=True, elements=n)
-        assert bound == 1 + tasks * (0.5 + CHUNK / n)
-        assert (bound - 0.1) * 8 * n <= peak <= bound * 8 * n + SCRATCH
+        low, high = merge_peak_range("ties", n)
+        assert low <= peak <= high
 
 
 _W = np.random.default_rng(0).standard_normal((3, 50))
@@ -805,8 +805,7 @@ class TestRunRecipe:
     @pytest.mark.parametrize("transform,method", PEAK_CASES)
     def test_peak_buffers_within_bound(self, tmp_path, peak_family, transform, method,
                                        tasks, dtype):
-        # the documented bound holds, and sits within 0.1 buffer of the peak
-        buffer = 8 * (1 << 20)
+        # the documented bound holds, and the measured peak sits close below it
         specs, base_p = peak_family(tasks, dtype)
         recipe = MergeRecipe(
             base=base_p, tasks=specs, output=str(tmp_path / "out.st"),
@@ -817,9 +816,23 @@ class TestRunRecipe:
         if method == "given":
             given = CoefficientSet([t.id for t in specs], [1 / tasks] * tasks, "external")
         peak = traced_peak(lambda: run_recipe(recipe, given))
-        bound = merge_peak_buffers(transform, tasks, 2 if dtype == "BF16" else 4,
-                                   two_walks=method == "metagpt", elements=1 << 20)
-        assert (bound - 0.1) * buffer <= peak <= bound * buffer + SCRATCH
+        low, high = merge_peak_range(transform, 1 << 20)
+        assert low <= peak <= high
+
+    @pytest.mark.parametrize("transform", ["none", "dare"])
+    def test_node_walk_peak_does_not_grow_with_the_tensor(self, tmp_path, transform):
+        # node by node, a tensor four times larger adds nothing to the peak
+        peaks = []
+        for rows in (1024, 4096):
+            root = tmp_path / str(rows)
+            root.mkdir()
+            specs, base_p = ties_family(root, {"emb": (rows, 1024), "w": (256, 64)}, 2, "BF16")
+            recipe = MergeRecipe(base=base_p, tasks=specs, output=str(root / "out.st"),
+                                 transform=transform, dare_p=0.9)
+            peaks.append(traced_peak(lambda: run_recipe(recipe)))
+        low, high = merge_peak_range(transform, 1 << 22)
+        assert low <= min(peaks) and max(peaks) <= high
+        assert abs(peaks[1] - peaks[0]) <= 64 << 10
 
     def test_mid_merge_failure_leaves_no_output(self, tmp_path):
         # tensor "zz" overflows F16 on write, after "aa" was already written

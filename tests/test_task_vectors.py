@@ -17,7 +17,7 @@ from taskmerge import (
 from taskmerge.task_vectors import _LEAF, blocked_dot, fold, split
 from taskmerge.tensor_store import _CHUNK
 
-from conftest import write_ckpt
+from conftest import NODE_PEAK_SLACK, NODE_STATS_PEAK, traced_peak, write_ckpt
 
 
 class TestComputeStats:
@@ -68,38 +68,69 @@ class TestComputeStats:
                 assert stats.gram[i, j] == pytest.approx(acc, rel=1e-10, abs=1e-12)
 
     def test_reads_decode_into_reused_buffers(self, tmp_path, monkeypatch):
-        from taskmerge import task_vectors
+        from taskmerge import task_vectors, tensor_store
 
         rng = np.random.default_rng(5)
-        base = {n: rng.standard_normal(s) for n, s in {"a": (6, 7), "b": (5,), "c": (9, 13)}.items()}
-        base_p = write_ckpt(tmp_path / "b.st", base)
-        models = [
-            open_checkpoint(write_ckpt(tmp_path / f"m{t}.st", {n: v + t + 1 for n, v in base.items()}))
-            for t in range(2)
-        ]
-        reads = []
-        real = task_vectors.read_tensor, task_vectors.read_payload
+        shapes = {"a": (6, 7), "b": (5,), "c": (_CHUNK + 13,)}  # "c" has two nodes
+        base = {n: rng.standard_normal(s) for n, s in shapes.items()}
+        paths = [write_ckpt(tmp_path / "b.st", base)]
+        paths += [write_ckpt(tmp_path / f"m{t}.st", {n: v + t + 1 for n, v in base.items()})
+                  for t in range(2)]
+        ranged, whole = [], []
+        real_range, real_tensor = tensor_store.read_payload, task_vectors.read_tensor
 
-        def spy(handle, name, out=None):
-            reads.append((handle.path == base_p, out is not None))
-            return real[0](handle, name, out=out)
+        def range_spy(handle, name, lo, hi, file, raw):
+            ranged.append((handle.path, name, lo, hi, raw))
+            return real_range(handle, name, lo, hi, file, raw)
 
-        def raw_spy(handle, name):
-            reads.append((handle.path == base_p, "raw"))
-            return real[1](handle, name)
+        def tensor_spy(handle, name, out=None):
+            whole.append((handle.path == paths[0], out is not None))
+            return real_tensor(handle, name, out=out)
 
-        monkeypatch.setattr(task_vectors, "read_tensor", spy)
-        monkeypatch.setattr(task_vectors, "read_payload", raw_spy)
-        norms = compute_stats(open_checkpoint(base_p), models)
-        # norms only: the base decodes into a reused buffer, and each task's
-        # tensor is read raw and decoded one node at a time
-        assert len(reads) == 9
-        assert reads.count((True, True)) == 3 and reads.count((False, "raw")) == 6
-        # the Gram pairs hold every diff of a tensor, so only the base is reused
-        reads.clear()
-        gram = compute_stats(open_checkpoint(base_p), models, want_gram=True)
-        assert len(reads) == 9 and all(is_base == has_out for is_base, has_out in reads)
-        assert gram.sq_norms == norms.sq_norms
+        monkeypatch.setattr(tensor_store, "read_payload", range_spy)
+        monkeypatch.setattr(task_vectors, "read_tensor", tensor_spy)
+        sizes = {name: int(np.prod(shape)) for name, shape in shapes.items()}
+        # a node walk reads the nodes of split(n); a whole read, chunks
+        nodes = [(name, lo, hi) for name, n in sizes.items() for lo, hi in split(n)]
+        chunks = [(name, lo, min(lo + _CHUNK, n)) for name, n in sizes.items()
+                  for lo in range(0, n, _CHUNK)]
+        results = []
+        for want_gram in (False, True):
+            ranged.clear()
+            whole.clear()
+            handles = [open_checkpoint(p) for p in paths]
+            results.append(compute_stats(handles[0], handles[1:], want_gram=want_gram))
+            # every payload byte once, in ranged reads of at most _CHUNK values
+            assert sorted(r[:4] for r in ranged) == sorted(
+                (p, *r) for p in paths for r in (chunks if want_gram else nodes))
+            for h in handles:
+                payload = sum(meta.num_bytes for meta in h.index.values())
+                assert h.bytes_read == h.data_start + payload
+            # norms only: each node lands in one reused byte buffer, and no
+            # tensor is read whole. The Gram pairs hold every diff of a
+            # tensor, so only the base decodes into a reused buffer
+            if not want_gram:
+                assert len({id(r[4]) for r in ranged}) == 1 and whole == []
+            else:
+                assert len(whole) == 9 and all(is_base == has_out for is_base, has_out in whole)
+        assert results[1].sq_norms == results[0].sq_norms
+
+    def test_norms_peak_does_not_grow_with_the_tensor(self, tmp_path):
+        # without the Gram matrix the walk goes node by node: a fixed peak,
+        # the same for a tensor four times larger
+        rng = np.random.default_rng(9)
+        peaks = []
+        for rows in (1024, 4096):
+            base = {"emb": rng.standard_normal((rows, 1024)), "w": rng.standard_normal(300)}
+            paths = [write_ckpt(tmp_path / f"b{rows}.st", base, dtype="BF16")]
+            paths += [write_ckpt(tmp_path / f"m{rows}-{t}.st",
+                                 {n: v + 0.1 * (t + 1) for n, v in base.items()}, dtype="BF16")
+                      for t in range(2)]
+            handles = [open_checkpoint(p) for p in paths]
+            peaks.append(traced_peak(lambda: compute_stats(handles[0], handles[1:])))
+        assert NODE_STATS_PEAK - NODE_PEAK_SLACK <= min(peaks)
+        assert max(peaks) <= NODE_STATS_PEAK
+        assert abs(peaks[1] - peaks[0]) <= 64 << 10
 
     def test_bitwise_deterministic(self, small_family):
         paths, *_ = small_family

@@ -20,7 +20,7 @@ from taskmerge import (
     write_checkpoint,
 )
 
-from taskmerge.tensor_store import _CHUNK, read_payload
+from taskmerge.tensor_store import _CHUNK, DTYPE_SIZES, RangeReader, read_payload
 
 from conftest import write_ckpt
 from dense_reference import read_checkpoint_dense
@@ -259,7 +259,8 @@ class TestReadDecode:
             with np.errstate(invalid="ignore"):
                 dense = read_checkpoint_dense(p)["a"]
             handle = open_checkpoint(p)
-            payload = read_payload(handle, "a")
+            with open(p, "rb") as f:
+                payload = read_payload(handle, "a", 0, n, f, bytearray(bits.nbytes))
             assert handle.bytes_read == handle.data_start + bits.nbytes
             out = np.empty(hi - lo)
             if lo <= poison < hi:
@@ -268,6 +269,43 @@ class TestReadDecode:
             else:
                 payload.decode(lo, hi, out)
                 assert out.tobytes() == dense[lo:hi].tobytes()
+
+    @pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
+    def test_ranged_reads_share_one_buffer_and_count_their_bytes(self, tmp_path, dtype):
+        n = 2 * _CHUNK + 9
+        values = np.arange(n, dtype=np.float64) % 200 - 100  # exact in BF16
+        p = write_ckpt(tmp_path / "c.st", {"a": values, "b": np.ones(3)}, dtype=dtype)
+        handle = open_checkpoint(p)
+        start, width = handle.bytes_read, DTYPE_SIZES[dtype]
+        ranges = [(0, 1), (5, _CHUNK + 5), (2 * _CHUNK, n), (7, 7)]
+        raw = bytearray(_CHUNK * 4)
+        with open(p, "rb") as f:
+            for lo, hi in ranges:
+                payload = read_payload(handle, "a", lo, hi, f, raw)
+                assert hi == lo or np.shares_memory(payload.bits, np.frombuffer(raw, np.uint8))
+                out = np.empty(hi - lo)
+                payload.decode(0, hi - lo, out)
+                assert out.tolist() == values[lo:hi].tolist()
+        assert handle.bytes_read == start + sum(hi - lo for lo, hi in ranges) * width
+        # a reader decodes any range, one chunk at a time
+        out = np.empty(n - 3)
+        with RangeReader([handle]) as reader:
+            reader.decode(0, "a", 3, n, out)
+        assert out.tolist() == values[3:].tolist()
+
+    def test_ranged_read_of_a_file_cut_after_open(self, tmp_path):
+        n = 2 * _CHUNK + 9
+        p = write_ckpt(tmp_path / "c.st", {"a": np.ones(n)})
+        handle = open_checkpoint(p)
+        os.truncate(p, os.path.getsize(p) - 1)
+        raw = bytearray(8 * _CHUNK)
+        with open(p, "rb") as f:
+            read_payload(handle, "a", 0, _CHUNK, f, raw)
+            start = handle.bytes_read
+            with pytest.raises(FormatError) as caught:
+                read_payload(handle, "a", _CHUNK, n, f, raw)
+        assert str(caught.value) == f"{p}: truncated payload for 'a'"
+        assert handle.bytes_read == start
 
     @pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
     def test_decode_into_head_of_out(self, tmp_path, dtype):
@@ -441,6 +479,78 @@ class TestWriterStreaming:
     def test_duplicate_declared_names(self, tmp_path):
         with pytest.raises(ValidationError, match="duplicate"):
             CheckpointWriter(str(tmp_path / "c.st"), [("a", (1,), "F32"), ("a", (2,), "F32")])
+
+
+class TestWriterAppend:
+    SPECS = [("a", (3, 5), "BF16"), ("b", (0,), "F16"), ("c", (_CHUNK + 3,), "F32")]
+
+    def values(self):
+        rng = np.random.default_rng(17)
+        return {name: rng.standard_normal(shape).reshape(-1) for name, shape, _ in self.SPECS}
+
+    def test_pieces_match_whole_writes(self, tmp_path):
+        values = self.values()
+        whole = tmp_path / "whole.st"
+        write_checkpoint(str(whole), [(TensorBuffer(name, shape, values[name]), dtype)
+                                      for name, shape, dtype in self.SPECS])
+        w = CheckpointWriter(str(tmp_path / "pieces.st"), self.SPECS)
+        for name, shape, _ in self.SPECS:
+            cuts = [0, 1, 7, values[name].size] if values[name].size else [0, 0]
+            for lo, hi in zip(cuts, cuts[1:]):
+                w.append(name, shape, values[name][lo:hi])
+        w.close()
+        assert (tmp_path / "pieces.st").read_bytes() == whole.read_bytes()
+
+    def written_in_part(self, tmp_path, count):
+        w = CheckpointWriter(str(tmp_path / "c.st"), self.SPECS)
+        w.append("a", (3, 5), self.values()["a"][:count])
+        return w
+
+    def test_short_tensor_fails_at_the_next_tensor(self, tmp_path):
+        w = self.written_in_part(tmp_path, 9)
+        with pytest.raises(ValidationError) as caught:
+            w.append("b", (0,), np.empty(0))
+        assert str(caught.value) == "tensor 'a': only 9 of 15 values written"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_short_tensor_fails_at_close(self, tmp_path):
+        w = self.written_in_part(tmp_path, 9)
+        with pytest.raises(ValidationError, match="only 9 of 15 values written"):
+            w.close()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_over_long_tensor_rejected(self, tmp_path):
+        w = self.written_in_part(tmp_path, 9)
+        with pytest.raises(ValidationError) as caught:
+            w.append("a", (3, 5), np.zeros(7))
+        assert str(caught.value) == "tensor 'a': more than 15 values for shape [3, 5]"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_order_piece_rejected(self, tmp_path):
+        w = CheckpointWriter(str(tmp_path / "c.st"), self.SPECS)
+        with pytest.raises(ValidationError, match="sorted order: got 'b', expected 'a'"):
+            w.append("b", (0,), np.empty(0))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_shape_checked_on_every_piece(self, tmp_path):
+        w = self.written_in_part(tmp_path, 9)
+        with pytest.raises(ValidationError, match=r"shape \(15,\) != declared \(3, 5\)"):
+            w.append("a", (15,), np.zeros(6))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad,message", [
+        (float("nan"), "tensor 'a': non-finite value"),
+        (1e6, "tensor 'a': overflow for dtype F16"),
+    ])
+    def test_bad_value_in_a_middle_piece(self, tmp_path, bad, message):
+        w = CheckpointWriter(str(tmp_path / "c.st"), [("a", (_CHUNK + 9,), "F16")])
+        values = np.zeros(_CHUNK + 9)
+        values[_CHUNK - 1] = bad
+        w.append("a", (_CHUNK + 9,), values[:5])
+        with pytest.raises(ValidationError) as caught:
+            w.append("a", (_CHUNK + 9,), values[5:_CHUNK + 2])
+        assert str(caught.value) == message
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompatibility:
