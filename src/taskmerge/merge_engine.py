@@ -14,32 +14,32 @@ coefficients fix lambda before any tensor is read, so their merge walks
 once, feeding both sinks, with the same norms and report.
 
 Memory never grows with total model size, and without TIES not with the
-size of any tensor. Without TIES the walk is node-major: for each node of
-at most ``_CHUNK`` elements of numpy's pairwise tree, the base's range and
-each task's range are read from inputs held open for the walk, decoded,
-diffed, square-summed, dropped, scaled and added while in cache, and the
-node of the sum is appended to the output before the next node is read.
-TIES trims whole diffs: the base is decoded whole into a working buffer
-allocated at the size of the largest tensor, once per run, and a walk that
-takes norms decodes each diff into a second such buffer and trims it there,
-recording the selection. Its combine holds no payload: one block of
-``CHUNK`` elements at a time, it reads each task's block by range, decodes,
-diffs and re-trims it from its selection, then elects signs on it.
-Measured with tracemalloc, for float64 buffers B of the largest tensor, the
-peak is at most:
-  - no transform or DARE, any number of tasks: a fixed 2.5 MiB (2.4 MB
-    measured) of node-sized arrays and one chunk of stored bytes, whatever
-    the size of the tensors;
-  - TIES: 3 * B plus a per-block scratch of 1 MiB that does not grow with
-    the model. The norms walk holds the base, one diff and the magnitudes
-    the trim partitions; combining holds the base, the diff buffer when the
-    walk took norms, and one decoded block of each task.
-Without TIES an input at fault is met node by node, so of two faulty inputs
-of one tensor the error names the one whose fault comes first in (node,
-task) order; TIES decodes each task's whole diff in task order.
-TIES selects once per (task, tensor): the walk that trims a diff records
-the selection, and a later walk rebuilds the same trim from it with one
-compare per element and no partition.
+size of any tensor. The walk is node-major: for each node of at most
+``_CHUNK`` elements of numpy's pairwise tree, the base's range and each
+task's range are read from inputs held open for the walk, decoded, diffed,
+square-summed, dropped, scaled and added while in cache, and the node of
+the sum is appended to the output before the next node is read. A TIES
+trim selects on a whole diff, so a walk that takes norms holds one buffer
+the size of the largest tensor: each diff is read into it node by node and
+partitioned there in place, as int64 bits, and a later sweep over the nodes
+re-reads the task to trim it and take its transformed norm (see
+``_ties_norms``). TIES selects once per (task, tensor) and records the
+selection; combining rebuilds the same trim from it with one compare per
+element and no partition, one block of ``CHUNK`` elements at a time, and
+elects signs there.
+Measured with tracemalloc, for the float64 buffer B of the largest tensor,
+the peak is at most:
+  - no transform or DARE, any number of tasks: a fixed 2.4375 MiB (2.28-2.41
+    MB measured) of node-sized arrays and one chunk of stored bytes,
+    whatever the size of the tensors;
+  - TIES: B plus a fixed 1.6875 MiB (1.51-1.70 MB measured beside B at
+    four and eight tasks), the same at 2**20 and 2**22 elements. Combining
+    holds one block per task, and the blocks shrink past four tasks, so a
+    merge that walks once, combining beside B, stays inside that figure.
+An input at fault is met in read order: node by node, so of two faulty
+inputs of one tensor the error names the one whose fault comes first in
+(node, task) order; with TIES in (sweep, node) order, where sweep i reads
+the base and tasks i - 1 and i.
 Everything is deterministic: re-running a recipe with the same seed
 produces byte-identical output files and reports.
 """
@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -58,19 +57,20 @@ from . import jsonutil
 from .coefficients import COEFFICIENT_METHODS, NORM_FREE_METHODS, NORM_METHODS, CoefficientSet
 from .errors import RecipeError, ValidationError
 from .rng import CHUNK, drop_threshold, stream_seed, uniform_stream
-from .task_vectors import StatsAccumulator, node_diffs, working_buffer
+from .task_vectors import StatsAccumulator, node_diffs, split, working_buffer
 from .tensor_store import (
     _CHUNK,
     CheckpointHandle,
     CheckpointWriter,
     RangeReader,
-    TensorBuffer,
     open_checkpoint,
-    read_tensor,
+    read_tensor,  # noqa: F401 (the engine reads by range; bench/spans.py wraps this name)
     validate_compatibility,
 )
 
 TRANSFORMS = ("none", "ties", "dare")
+# clears the sign bit of a float64 viewed as int64
+_MAGNITUDE_BITS = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 NORM_SOURCES = ("raw", "transformed")
 OUTPUT_DTYPES = ("base", "F32")
 
@@ -217,16 +217,16 @@ def ties_trim(values: np.ndarray, density: float) -> tuple[float, int] | None:
     """Keep the ceil(density * n) largest-magnitude elements of the flat
     float64 array *values* and zero the rest, in place.
 
-    O(n): ``np.partition`` finds the k-th largest magnitude ``thr``; every
-    element with ``|v| > thr`` is kept, and the remaining slots go to the
-    elements with ``|v| == thr``, lowest flat index first. That is the order
-    of a stable descending sort by magnitude, so the result does not depend
-    on how the partition breaks ties. Dropped elements become +0.0; kept
-    ones, -0.0 included, are left as they are. Values must be finite, as
-    every tensor the engine reads is.
+    O(n): ``_select`` finds the k-th largest magnitude ``thr`` on a copy of
+    the magnitudes; every element with ``|v| > thr`` is kept, and the
+    remaining slots go to the elements with ``|v| == thr``, lowest flat
+    index first. That is the order of a stable descending sort by
+    magnitude, so the result does not depend on how the partition breaks
+    ties. Dropped elements become +0.0; kept ones, -0.0 included, are left
+    as they are. Values must be finite, as every tensor the engine reads is.
 
     Returns the selection ``(thr, last)``, where ``last`` is the flat index
-    of the last kept tie: ``_zero_unselected(copy, thr, last)`` trims an
+    of the last kept tie: ``_trim_node(copy, 0, thr, 0, last)`` trims an
     unchanged copy of *values* to the same bytes without a partition. When
     ceil(density * n) >= n nothing is dropped and the result is None.
     """
@@ -236,47 +236,65 @@ def ties_trim(values: np.ndarray, density: float) -> tuple[float, int] | None:
     k = math.ceil(density * n)
     if k >= n:
         return None
-    mag = np.abs(values)
-    mag.partition(n - k)
-    thr = float(mag[n - k])
-    # every magnitude above thr sits after position n - k. Less thr, those
-    # are the nonzeros there (a - thr == 0 only if a == thr for finite a),
-    # so the slots left for ties are counted with no mask. The tail is a
-    # view: both go, or it keeps |v| alive
-    tail = mag[n - k + 1 :]
-    tail -= thr
-    need = k - np.count_nonzero(tail)
-    del mag, tail
-    last = -1
-    scratch = np.empty(min(CHUNK, n))
-    for start in range(0, n, CHUNK):
-        block = values[start : start + CHUNK]
-        mag = np.abs(block, out=scratch[: block.size])
-        ties = np.flatnonzero(mag == thr)
-        if ties.size >= need:
-            last = start + int(ties[need - 1])
-            break
-        need -= ties.size
-    _zero_unselected(values, thr, last)
+    thr, need = _select(values.copy(), k)
+    _, last = _trim_node(values, 0, thr, need, -1)
     return thr, last
 
 
-def _zero_unselected(values: np.ndarray, thr: float, last: int) -> None:
-    """Zero, in place, what the selection ``(thr, last)`` of ``ties_trim``
-    drops: ``|v| < thr`` at flat indices up to *last* and ``|v| <= thr``
-    after it. One ``CHUNK``-element block of magnitudes at a time; a
-    negative *last*, or one past the end, keeps no tie or every tie."""
-    m = min(CHUNK, values.size)
+def _select(values: np.ndarray, k: int) -> tuple[float, int]:
+    """The threshold ``thr``, the k-th largest magnitude of the contiguous
+    flat float64 array *values*, and how many elements equal to it a
+    selection of k keeps. *values* is overwritten, with no copy made: its
+    bits, viewed as int64 with the sign bits cleared, are partitioned in
+    place. For finite values with the sign bit clear, int64 order is float
+    order, subnormals included, and -0.0 and +0.0 both become 0."""
+    n = values.size
+    bits = values.view(np.int64)
+    bits &= _MAGNITUDE_BITS
+    bits.partition(n - k)
+    thr = float(values[n - k])
+    # every magnitude above thr sits after position n - k. Less thr, those
+    # are the nonzeros there, so the slots left for ties are counted with
+    # no mask
+    tail = bits[n - k + 1 :]
+    tail -= bits[n - k]
+    return thr, k - int(np.count_nonzero(tail))
+
+
+def _trim_node(
+    v: np.ndarray, lo: int, thr: float, need: int, last: int
+) -> tuple[int, int]:
+    """Trim, in place, elements ``lo ..`` of a diff, *v*, to the selection
+    of threshold *thr*, once the elements before *lo* are trimmed: keep
+    ``|v| > thr`` and the ties ``|v| == thr`` in flat order while *need* of
+    them are still to keep. Once *need* is 0, *last* is the flat index of
+    the last kept tie. One ``CHUNK``-element block of magnitudes at a time,
+    the ties are counted until that one is found. Returns the new ``(need,
+    last)``.
+
+    With *need* 0 this replays a recorded selection ``(thr, last)`` with no
+    partition: it zeroes ``|v| < thr`` at flat indices up to *last* and
+    ``|v| <= thr`` after it, so a negative *last*, or one past the end,
+    keeps no tie or every tie."""
+    m = min(CHUNK, v.size)
     mag, keep, mask = np.empty(m), np.empty(m, dtype=bool), np.empty(m, dtype=np.uint64)
-    for start in range(0, values.size, CHUNK):
-        block = values[start : start + CHUNK]
+    for start in range(0, v.size, CHUNK):
+        block = v[start : start + CHUNK]
         k = block.size
         np.abs(block, out=mag[:k])
-        # ties up to last are kept; split is where the later ones start
-        split = min(max(last + 1 - start, 0), k)
+        if need:
+            ties = np.flatnonzero(mag[:k] == thr)
+            if ties.size < need:
+                need -= ties.size
+            else:
+                need, last = 0, lo + start + int(ties[need - 1])
+        # ties up to last are kept, and all of them while some are needed;
+        # split is where the dropped ones start
+        split = k if need else min(max(last + 1 - lo - start, 0), k)
         np.greater_equal(mag[:split], thr, out=keep[:split])
         np.greater(mag[split:k], thr, out=keep[split:k])
         _keep_only(block, keep[:k], mask[:k])
+    return need, last
 
 
 def _keep_only(values: np.ndarray, keep: np.ndarray, mask: np.ndarray) -> None:
@@ -326,7 +344,7 @@ def dare_transform(
 def _walk(
     reader: RangeReader,
     recipe: MergeRecipe,
-    work: tuple[np.ndarray, np.ndarray | None] | None,
+    diff: np.ndarray | None,
     selections: dict[tuple[int, str], tuple[float, int] | None],
     norms: tuple[StatsAccumulator, StatsAccumulator | None] | None = None,
     combine: tuple[list[float], CheckpointWriter] | None = None,
@@ -344,12 +362,10 @@ def _walk(
     element gets base + lambda_0 * tv_0 + lambda_1 * tv_1 + ... in task
     order, so norms and sum are the bits a whole-tensor walk gives.
 
-    With TIES the base is decoded whole into the first *work* buffer and the
-    tensor goes through ``_ties_sum``, which trims each whole diff in the
-    second when it takes norms and needs no such buffer when it only
-    combines. *selections* maps (t, name) to what ``ties_trim`` selected.
-    The walk that takes norms trims and records it; a combining walk without
-    norms rebuilds the same trim from it, block by block, with no partition.
+    With TIES, ``_ties_norms`` takes the norms and records in *selections*,
+    under (t, name), what each trim selected, partitioning each whole diff
+    in *diff*, a buffer the size of the largest tensor. ``_ties_combine``
+    then replays every trim from its selection, block by block.
     """
     raw, transformed = norms or (None, None)
     lambdas, writer = combine or (None, None)
@@ -359,11 +375,12 @@ def _walk(
     for name in sorted(base.index):
         meta = base.index[name]
         if ties:
-            base_buf = read_tensor(base, name, out=work[0])
-            out = _ties_sum(reader, name, base_buf.values, recipe, work[1], selections,
-                            raw, transformed, lambdas)
+            holders = [t for t, model in enumerate(reader.handles[1:]) if name in model.index]
+            if raw is not None:
+                _ties_norms(reader, name, holders, diff, recipe.ties_density, selections,
+                            raw, transformed)
             if writer is not None:
-                writer.write(TensorBuffer(name, meta.shape, out))
+                _ties_combine(reader, name, holders, lambdas, selections, writer)
             continue
         for lo, base_node, diffs in node_diffs(reader, name):
             if writer is not None:
@@ -386,82 +403,110 @@ def _walk(
                 acc.fold_nodes(meta.num_elements)
 
 
-def _ties_sum(
+def _ties_norms(
     reader: RangeReader,
     name: str,
-    base_values: np.ndarray,
-    recipe: MergeRecipe,
-    diff_work: np.ndarray | None,
+    holders: list[int],
+    diff: np.ndarray,
+    density: float,
     selections: dict[tuple[int, str], tuple[float, int] | None],
-    raw: StatsAccumulator | None,
-    transformed: StatsAccumulator | None,
-    lambdas: list[float] | None,
-) -> np.ndarray:
-    """Norms and, given *lambdas*, the TIES merge of one tensor onto
-    *base_values* in place.
+    raw: StatsAccumulator,
+    transformed: StatsAccumulator,
+) -> None:
+    """Both norms of each held task's diff of tensor *name*, node by node,
+    and the selection of each trim, in ``len(holders) + 1`` sweeps over
+    ``split(n)``.
 
-    Taking norms, each task's diff is decoded whole into *diff_work*,
-    square-summed, trimmed (its selection recorded) and square-summed again.
-    Combining holds no payload and no diff: ``_elect`` takes one block at a
-    time, for which each task's block is read by range, decoded, diffed and
-    trimmed again by replaying its selection. A walk that takes norms too
-    reads its last task no second time, as that task's trimmed diff is
-    still whole in *diff_work*.
+    Sweep i decodes each base node once and does two jobs on it. It
+    finishes task i - 1: re-reads the task's node, diffs it, trims it as
+    ``ties_trim`` would and square-sums it. It starts task i: reads the
+    node into ``diff[lo:hi]``, diffs it and square-sums it. Once the whole
+    diff is in, ``_select`` partitions it in place. So the one tensor-sized
+    buffer is *diff*, and an input at fault is met in (sweep, node) order.
     """
-    n = base_values.size
-    holders = [t for t, model in enumerate(reader.handles[1:]) if name in model.index]
-    if raw is not None:
-        diff = diff_work[:n]
-        for t in holders:
-            reader.decode(t + 1, name, 0, n, diff)
-            diff -= base_values
-            raw.add_partial(t, diff)
-            selections[t, name] = ties_trim(diff, recipe.ties_density)
-            if transformed is not None:
-                transformed.add_partial(t, diff)
-    if lambdas is None or not holders:
-        return base_values
-    replayed = holders if raw is None else holders[:-1]
-    tasks = [(lambdas[t], _replay(reader, t, name, base_values, selections[t, name]))
-             for t in replayed]
-    if raw is not None:
-        tasks.append((lambdas[holders[-1]], lambda lo, hi: diff_work[lo:hi]))
-    _elect(base_values, tasks)
-    return base_values
+    n = reader.handles[0].index[name].num_elements
+    k = math.ceil(density * n)
+    base_node, node = np.empty(min(n, _CHUNK)), np.empty(min(n, _CHUNK))
+    for i in range(len(holders) + 1 if holders else 0):
+        for lo, hi in split(n):
+            b = base_node[: hi - lo]
+            reader.decode(0, name, lo, hi, b)
+            if i:
+                v = node[: hi - lo]
+                reader.decode(holders[i - 1] + 1, name, lo, hi, v)
+                v -= b
+                if k < n:
+                    need, last = _trim_node(v, lo, thr, need, last)
+                transformed.add_node(holders[i - 1], v)
+            if i < len(holders):
+                v = diff[lo:hi]
+                reader.decode(holders[i] + 1, name, lo, hi, v)
+                v -= b
+                raw.add_node(holders[i], v)
+        if i:
+            selections[holders[i - 1], name] = (thr, last) if k < n else None
+        if i < len(holders) and k < n:
+            thr, need = _select(diff[:n], k)
+            last = -1
+    raw.fold_nodes(n)
+    transformed.fold_nodes(n)
+
+
+def _ties_combine(
+    reader: RangeReader,
+    name: str,
+    holders: list[int],
+    lambdas: list[float],
+    selections: dict[tuple[int, str], tuple[float, int] | None],
+    writer: CheckpointWriter,
+) -> None:
+    """Write the TIES merge of tensor *name* one block at a time: decode the
+    base's block, replay each held task's trimmed diff there, elect signs
+    and append the block. A block is ``CHUNK`` elements for up to four held
+    tasks and shrinks past that, so the blocks held at once never pass
+    ``4 * CHUNK`` elements, whatever the number of tasks. Nothing
+    tensor-sized is held. A tensor with no elements is appended once,
+    empty, so the writer still begins it."""
+    meta = reader.handles[0].index[name]
+    n = meta.num_elements
+    step = CHUNK * 4 // max(len(holders), 4)
+    base_block = np.empty(min(step, n))
+    blocks = [np.empty(min(step, n)) for _ in holders]
+    for lo in range(0, max(n, 1), step):
+        hi = min(lo + step, n)
+        out = base_block[: hi - lo]
+        reader.decode(0, name, lo, hi, out)
+        held = [(lambdas[t], _replay(reader, t, name, lo, out, selections[t, name],
+                                     block[: hi - lo]))
+                for t, block in zip(holders, blocks)]
+        _elect(out, held)
+        writer.append(name, meta.shape, out)
 
 
 def _replay(
     reader: RangeReader,
     t: int,
     name: str,
-    base_values: np.ndarray,
+    lo: int,
+    base_block: np.ndarray,
     selection: tuple[float, int] | None,
-) -> Callable[[int, int], np.ndarray]:
-    """A fetch for ``_elect``: task t's diff over ``[lo, hi)``, read by
-    range and decoded into a block of its own, less the base, and trimmed
-    as *selection* says."""
-    node_work = np.empty(min(CHUNK, base_values.size))
-
-    def fetch(lo: int, hi: int) -> np.ndarray:
-        node = node_work[: hi - lo]
-        reader.decode(t + 1, name, lo, hi, node)
-        node -= base_values[lo:hi]
-        if selection is not None:
-            thr, last = selection
-            _zero_unselected(node, thr, last - lo)
-        return node
-
-    return fetch
+    out: np.ndarray,
+) -> np.ndarray:
+    """Task t's diff over elements ``lo ..`` of *base_block*'s size, read by
+    range and decoded into *out*, less the base, and trimmed as *selection*
+    says; returns *out*."""
+    reader.decode(t + 1, name, lo, lo + out.size, out)
+    out -= base_block
+    if selection is not None:
+        thr, last = selection
+        _trim_node(out, 0, thr, 0, last - lo)
+    return out
 
 
-def _elect(
-    out: np.ndarray, tasks: list[tuple[float, Callable[[int, int], np.ndarray]]]
-) -> None:
-    """TIES sign election and disjoint merge onto *out*, in place, one
-    ``CHUNK``-element block at a time. *tasks* holds (lambda_t, fetch_t) in
-    task order; ``fetch_t(lo, hi)`` returns the trimmed diff tv_t over
-    ``[lo, hi)`` in an array the election may scale and zero. Every task's
-    block is fetched before *out*'s block changes.
+def _elect(out: np.ndarray, held: list[tuple[float, np.ndarray]]) -> None:
+    """TIES sign election and disjoint merge onto *out*, in place. *held*
+    holds (lambda_t, tv_t) in task order, trimmed diffs of *out*'s size
+    that the election scales and zeroes.
 
     Per element, in task order: s = sum_t lambda_t * tv_t from zero, then
     out += lambda_t * tv_t where tv_t and s are both positive or both
@@ -470,28 +515,23 @@ def _elect(
     tv_t, since lambda_t * tv_t may underflow to zero, and the zeroing ANDs
     bits, so no step branches per element.
     """
-    m = min(CHUNK, out.size)
-    scratch = [np.empty(m), np.empty(m), np.empty(m, dtype=np.uint64)]
-    scratch += [np.empty(m, dtype=bool) for _ in range(4)]
-    for lo in range(0, out.size, CHUNK):
-        hi = min(lo + CHUNK, out.size)
-        s, tmp, mask, pos, neg, hit, below = (a[: hi - lo] for a in scratch)
-        blocks = [(lam, fetch(lo, hi)) for lam, fetch in tasks]
-        s.fill(0.0)
-        for lam, v in blocks:
-            np.multiply(lam, v, out=tmp)
-            s += tmp
-        np.greater(s, 0.0, out=pos)
-        np.less(s, 0.0, out=neg)
-        for lam, v in blocks:
-            np.greater(v, 0.0, out=hit)
-            hit &= pos
-            np.less(v, 0.0, out=below)
-            below &= neg
-            hit |= below
-            v *= lam
-            _keep_only(v, hit, mask)
-            out[lo:hi] += v
+    m = out.size
+    s, tmp, mask = np.zeros(m), np.empty(m), np.empty(m, dtype=np.uint64)
+    pos, neg, hit, below = (np.empty(m, dtype=bool) for _ in range(4))
+    for lam, v in held:
+        np.multiply(lam, v, out=tmp)
+        s += tmp
+    np.greater(s, 0.0, out=pos)
+    np.less(s, 0.0, out=neg)
+    for lam, v in held:
+        np.greater(v, 0.0, out=hit)
+        hit &= pos
+        np.less(v, 0.0, out=below)
+        below &= neg
+        hit |= below
+        v *= lam
+        _keep_only(v, hit, mask)
+        out += v
 
 
 def run_recipe(
@@ -520,11 +560,9 @@ def run_recipe(
     raw = StatsAccumulator(task_ids)
     transformed = StatsAccumulator(task_ids) if recipe.transform != "none" else None
     norms = (raw, transformed)
-    # TIES decodes the base whole, and trims each whole diff in a second
-    # buffer; other merges read one node at a time
-    work = None
-    if recipe.transform == "ties":
-        work = (working_buffer(base), working_buffer(base))
+    # TIES partitions each whole diff in a buffer of the largest tensor;
+    # every other step of every merge holds one node or block at a time
+    diff = working_buffer(base) if recipe.transform == "ties" else None
     selections: dict[tuple[int, str], tuple[float, int] | None] = {}
     coeffs = coeffs_override
     if coeffs is None and recipe.method in NORM_FREE_METHODS:
@@ -536,17 +574,14 @@ def run_recipe(
     with RangeReader([base, *models]) as reader:
         if coeffs is None:
             # the coefficients read norms: take them all before combining
-            _walk(reader, recipe, work, selections, norms=norms)
+            _walk(reader, recipe, diff, selections, norms=norms)
             use_raw = recipe.norm_source == "raw" or transformed is None
             coeffs = NORM_METHODS[recipe.method]((raw if use_raw else transformed).finalize())
-            norms = None
-            if work is not None:
-                # without norms, combining replays each trim block by block:
-                # the diff buffer goes first
-                work = (work[0], None)
+            # combining replays each trim from its selection: no diff buffer
+            norms, diff = None, None
         writer = CheckpointWriter(recipe.output, specs, metadata=base.metadata)
         try:
-            _walk(reader, recipe, work, selections,
+            _walk(reader, recipe, diff, selections,
                   norms=norms, combine=(coeffs.lambdas, writer))
         except Exception:
             writer.abort()

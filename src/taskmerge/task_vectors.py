@@ -115,7 +115,8 @@ def blocked_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def working_buffer(base: CheckpointHandle) -> np.ndarray:
     """An uninitialized flat float64 buffer the size of *base*'s largest
-    tensor, for ``read_tensor(..., out=)`` to decode every tensor into.
+    tensor, for every tensor of a walk to be decoded into: the base in a
+    Gram walk, each diff in a TIES walk that takes norms.
 
     Held for one walk and dropped with it: a fresh full-size array per read
     costs its page faults every time.

@@ -317,7 +317,9 @@ class RangeReader:
         except BaseException:
             self.close()
             raise
-        self._raw = bytearray(self._step * max(DTYPE_SIZES.values()))
+        # sized for the widest dtype these inputs store, not every dtype
+        width = max((DTYPE_SIZES[m.dtype] for h in handles for m in h.index.values()), default=1)
+        self._raw = bytearray(self._step * width)
 
     def decode(self, i: int, name: str, lo: int, hi: int, out: np.ndarray) -> None:
         """Widen stored elements ``lo .. hi-1`` of tensor *name* of input *i*

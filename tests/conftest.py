@@ -13,12 +13,15 @@ SCRATCH = 1 << 20
 # Traced peaks of a walk node by node, in bytes: the node-sized float64
 # arrays (base and diff, plus the sum when merging), one chunk of stored
 # bytes, and the scratch of the codec, the reduction and the draws. Taken
-# from the measured peaks, 2.38-2.45 MB for plain and DARE merges and
-# 1.65-1.71 MB for compute_stats without the Gram matrix, at 2**20 and
-# 2**22 elements alike. A peak more than NODE_PEAK_SLACK below its figure
-# fails too, so the figure stays tight.
-NODE_MERGE_PEAK = 5 << 19  # 2.5 MiB
-NODE_STATS_PEAK = 7 << 18  # 1.75 MiB
+# from the measured peaks, 2.28-2.41 MB for plain and DARE merges and
+# 1.50 MB for compute_stats without the Gram matrix, at 2**20 and 2**22
+# elements alike. A TIES merge holds one float64 buffer of the largest
+# tensor, the diff it partitions, beside TIES_PEAK of node-sized arrays and
+# scratch (1.51-1.70 MB measured beside that buffer, T = 4 and T = 8). A peak more than
+# NODE_PEAK_SLACK below its figure fails too, so the figure stays tight.
+NODE_MERGE_PEAK = 39 << 16  # 2.4375 MiB
+NODE_STATS_PEAK = 13 << 17  # 1.625 MiB
+TIES_PEAK = 27 << 16  # 1.6875 MiB
 NODE_PEAK_SLACK = 3 << 17  # 384 KiB
 
 
@@ -46,13 +49,10 @@ def merge_peak_range(transform: str, elements: int) -> tuple[int, int]:
     """The documented traced peak of a merge whose largest tensor holds
     *elements* values, as the (lowest, highest) bytes a measurement may
     show. Without TIES the walk goes node by node and the peak is a fixed
-    figure, whatever the tensors' size. TIES holds three float64 buffers of
-    the largest tensor: the base, one diff and the magnitudes the trim
-    partitions; the lowest is 0.1 buffer below that."""
-    if transform != "ties":
-        return NODE_MERGE_PEAK - NODE_PEAK_SLACK, NODE_MERGE_PEAK
-    buffer = 8 * elements
-    return int(2.9 * buffer), 3 * buffer + SCRATCH
+    figure, whatever the tensors' size. TIES adds one float64 buffer of the
+    largest tensor, the diff it partitions, to a fixed figure."""
+    figure = NODE_MERGE_PEAK if transform != "ties" else 8 * elements + TIES_PEAK
+    return figure - NODE_PEAK_SLACK, figure
 
 
 @pytest.fixture(autouse=True)

@@ -411,21 +411,55 @@ class TestLastNodeFaults:
         self.assert_fails_cleanly(capsys, tmp_path, via, recipe, FormatError,
                                   f"{last}: truncated payload for 'z'")
 
+    def spoil(self, path, node):
+        """Store a NaN as the first value of "z"'s given node in *path*."""
+        handle = open_checkpoint(str(path))
+        lo, _ = list(split(self.N))[node]
+        with open(path, "r+b") as f:
+            f.seek(handle.data_start + handle.index["z"].byte_range[0] + 2 * lo)
+            f.write(BAD_BITS["BF16", "nan"])
+
     @pytest.mark.parametrize("transform,named", [("none", 1), ("dare", 1), ("ties", 0)])
     def test_two_faulty_inputs_name_the_first_read(self, capsys, tmp_path, transform, named):
         # task 0's "z" is bad in its last node and task 1's in its first.
         # Node by node, task 1's first node is read before task 0's last;
-        # TIES decodes each task's whole diff in task order
+        # TIES sweeps each task's nodes in a sweep of its own, in task order
         recipe, _ = self.write_family(tmp_path, "BF16", "metagpt", transform)
         models = [tmp_path / f"m{t}.st" for t in range(2)]
-        nodes = list(split(self.N))
-        for path, (lo, _) in zip(models, (nodes[-1], nodes[0])):
-            handle = open_checkpoint(str(path))
-            with open(path, "r+b") as f:
-                f.seek(handle.data_start + handle.index["z"].byte_range[0] + 2 * lo)
-                f.write(BAD_BITS["BF16", "nan"])
+        self.spoil(models[0], -1)
+        self.spoil(models[1], 0)
         self.assert_fails_cleanly(capsys, tmp_path, "cli", recipe, ValidationError,
                                   f"{models[named]}: non-finite value in 'z'")
+
+    @pytest.mark.parametrize("transform", ["none", "dare", "ties"])
+    def test_task_fault_read_before_a_later_base_fault(self, capsys, tmp_path, transform):
+        # the base's "z" is bad in its last node and task 0's in its first:
+        # task 0's first node is read in the first sweep, before the base's
+        # last node, though TIES once decoded the whole base first
+        recipe, _ = self.write_family(tmp_path, "BF16", "metagpt", transform)
+        self.spoil(tmp_path / "base.st", -1)
+        self.spoil(tmp_path / "m0.st", 0)
+        self.assert_fails_cleanly(capsys, tmp_path, "cli", recipe, ValidationError,
+                                  f"{tmp_path / 'm0.st'}: non-finite value in 'z'")
+
+    @pytest.mark.parametrize("via", ["api", "cli"])
+    @pytest.mark.parametrize("method", ["metagpt", "task_arithmetic_fixed"])
+    def test_ties_task_truncated_between_its_sweeps(self, capsys, tmp_path, monkeypatch,
+                                                     method, via):
+        # task 0's "z" is cut once its first sweep has read it whole, so the
+        # sweep that re-reads it to trim meets the cut
+        recipe, _ = self.write_family(tmp_path, "BF16", method, "ties")
+        first = str(tmp_path / "m0.st")
+        size = os.path.getsize(first) - 2
+
+        def truncating_select(values, k, _select=merge_engine._select):
+            if values.size == self.N:
+                os.truncate(first, size)
+            return _select(values, k)
+
+        monkeypatch.setattr(merge_engine, "_select", truncating_select)
+        self.assert_fails_cleanly(capsys, tmp_path, via, recipe, FormatError,
+                                  f"{first}: truncated payload for 'z'")
 
 
 class TestVerify:

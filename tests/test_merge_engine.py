@@ -6,13 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from taskmerge import merge_engine
 from taskmerge.rng import CHUNK
-from taskmerge.task_vectors import _LEAF
+from taskmerge.task_vectors import _LEAF, split
 from taskmerge.tensor_store import _CHUNK
 from taskmerge import (
     CoefficientSet,
@@ -42,7 +42,8 @@ def trimmed(values, density):
     if selection is None:
         assert math.ceil(density * v.size) >= v.size
     else:
-        merge_engine._zero_unselected(fresh, *selection)
+        thr, last = selection
+        merge_engine._trim_node(fresh, 0, thr, 0, last)
     assert fresh.tobytes() == v.tobytes()
     return v
 
@@ -52,6 +53,39 @@ def dropped(values, p, key):
     v = np.array(values, dtype=np.float64)
     assert dare_transform(v, p, key) is None
     return v
+
+
+def ties_trim_oracle(values, density):
+    """The whole-array ties_trim the engine ran before it selected on int64
+    bits node by node, kept to pin the bytes and the selection of both:
+    partition a float64 copy of |v|, then find the last kept tie block by
+    block and zero with a putmask."""
+    n = values.size
+    k = math.ceil(density * n)
+    if k >= n:
+        return None
+    mag = np.abs(values)
+    mag.partition(n - k)
+    thr = float(mag[n - k])
+    tail = mag[n - k + 1 :]
+    tail -= thr
+    need = k - np.count_nonzero(tail)
+    last = -1
+    for start in range(0, n, CHUNK):
+        ties = np.flatnonzero(np.abs(values[start : start + CHUNK]) == thr)
+        if ties.size >= need:
+            last = start + int(ties[need - 1])
+            break
+        need -= ties.size
+    mag = np.abs(values)
+    keep = (mag > thr) | ((mag == thr) & (np.arange(n) <= last))
+    np.putmask(values, ~keep, 0.0)
+    return thr, last
+
+
+# Magnitudes that tie often, with signed zeros and subnormals among them
+TRIM_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.5, -0.5, 1.0, -1.0,
+               2.0, -2.0]
 
 
 class TestTiesTrim:
@@ -138,8 +172,46 @@ class TestTiesTrim:
         v = np.random.default_rng(n).choice([0.0, -0.0, 0.5, -1.0, 1.0, -2.0], n)
         for last, keep in ((-1, np.abs(v) > 1.0), (n - 1, np.abs(v) >= 1.0)):
             out = v.copy()
-            merge_engine._zero_unselected(out, 1.0, last)
+            merge_engine._trim_node(out, 0, 1.0, 0, last)
             assert out.tobytes() == np.where(keep, v, 0.0).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+        equal=st.booleans(),
+        k=st.sampled_from(["before", "after", 1, "n-1"]) | st.integers(1, 2 * _CHUNK),
+        fill=st.integers(0, 2**32 - 1),
+    )
+    def test_node_by_node_selection_matches_whole_array_oracle(self, n, equal, k, fill):
+        # "before"/"after": the last kept tie is the last element of a node
+        # of split(n) or the first of the next one. equal: every magnitude
+        # ties
+        gen = np.random.default_rng(fill)
+        v = gen.choice([1.0, -1.0] if equal else TRIM_VALUES, n)
+        starts = [lo for lo, _ in split(n)][1:]
+        if k in ("before", "after"):
+            assume(starts)
+            last = int(gen.choice(starts)) - (k == "before")
+            v[last] = 1.0
+            mag = np.abs(v)
+            k = int(np.count_nonzero(mag > 1.0) + np.count_nonzero(mag[: last + 1] == 1.0))
+        else:
+            k = n - 1 if k == "n-1" else min(k, n - 1)
+        assume(k < n)
+        density = (k - 0.5) / n
+        assert math.ceil(density * n) == k
+        want = v.copy()
+        selection = ties_trim_oracle(want, density)
+        # the engine's pieces: select on int64 bits in place, trim node by node
+        thr, need = merge_engine._select(v.copy(), k)
+        got, last = v.copy(), -1
+        for lo, hi in split(n):
+            need, last = merge_engine._trim_node(got[lo:hi], lo, thr, need, last)
+        assert (need, (thr, last)) == (0, selection)
+        assert got.tobytes() == want.tobytes()
+        public = v.copy()
+        assert ties_trim(public, density) == selection
+        assert public.tobytes() == want.tobytes()
 
     def test_peak_is_the_magnitudes_and_no_mask(self):
         # |v| is the one full-size allocation; counting the kept magnitudes
@@ -336,8 +408,7 @@ class TestBlockElection:
         want = base.copy()
         elect_and_merge_oracle(want, [(lam, d.copy()) for lam, d in zip(lambdas, diffs)])
         got = base.copy()
-        merge_engine._elect(got, [(lam, lambda lo, hi, d=d.copy(): d[lo:hi])
-                                  for lam, d in zip(lambdas, diffs)])
+        merge_engine._elect(got, [(lam, d.copy()) for lam, d in zip(lambdas, diffs)])
         assert got.tobytes() == want.tobytes()
 
 
@@ -366,16 +437,43 @@ def peak_family(tmp_path_factory):
     return make
 
 
+def assert_ties_peak_at_eight_tasks(tmp_path, method):
+    """The traced peak of a T = 8 F32 TIES merge whose largest tensor holds
+    2**20 elements lies in the documented two-sided range."""
+    n, tasks = 1 << 20, 8
+    specs, base_p = ties_family(tmp_path, {"emb": (1024, 1024), "w": (256, 64)}, tasks, "F32")
+    recipe = MergeRecipe(
+        base=base_p, tasks=specs, output=str(tmp_path / "out.st"),
+        method=method, transform="ties", ties_density=0.2,
+    )
+    peak = traced_peak(lambda: run_recipe(recipe))
+    low, high = merge_peak_range("ties", n)
+    assert low <= peak <= high
+
+
 class TestTiesWalk:
     def test_trim_selects_once_per_task_and_tensor(self, tmp_path, monkeypatch):
-        calls = []
-        real_trim = merge_engine.ties_trim
+        # one partition per (task, tensor), in the walk that takes norms;
+        # combining replays the selections, and the engine never calls the
+        # public ties_trim
+        calls, in_combine = [], []
+        real_select, real_combine = merge_engine._select, merge_engine._ties_combine
 
-        def counting_trim(values, density):
+        def counting_select(values, k):
             calls.append(values.size)
-            return real_trim(values, density)
+            return real_select(values, k)
 
-        monkeypatch.setattr(merge_engine, "ties_trim", counting_trim)
+        def watched_combine(*args):
+            before = len(calls)
+            real_combine(*args)
+            in_combine.append(len(calls) - before)
+
+        def no_trim(values, density):
+            raise AssertionError("the engine called ties_trim")
+
+        monkeypatch.setattr(merge_engine, "_select", counting_select)
+        monkeypatch.setattr(merge_engine, "_ties_combine", watched_combine)
+        monkeypatch.setattr(merge_engine, "ties_trim", no_trim)
         shapes = {"a": (40, 30), "b": (CHUNK + 9,), "c": (7,)}
         tasks, base_p = ties_family(tmp_path, shapes, tasks=3, dtype="F32")
         for method in ("metagpt", "weight_average"):
@@ -384,9 +482,11 @@ class TestTiesWalk:
                 method=method, transform="ties", ties_density=0.2,
             )
             handle, _ = run_recipe(recipe)
-            # the combine walk of metagpt replays the norms walk's selections
-            assert len(calls) == len(tasks) * len(shapes)
+            sizes = sorted(math.prod(shape) for shape in shapes.values())
+            assert sorted(calls) == sorted(sizes * len(tasks))
+            assert in_combine == [0] * len(shapes)
             calls.clear()
+            in_combine.clear()
             expect, _ = reference_merge(base_p, [t.path for t in tasks], method=method,
                                         transform="ties", ties_density=0.2)
             for name in shapes:
@@ -396,17 +496,35 @@ class TestTiesWalk:
     def test_traced_peak_of_combining_holds_no_payload(self, tmp_path):
         # T = 8 F32: combining reads each task's blocks by range, so the
         # eight raw reads of half a buffer each that it once held are gone
-        # and the norms walk's three buffers set the peak
-        n, tasks = 1 << 20, 8
-        specs, base_p = ties_family(tmp_path, {"emb": (1024, 1024), "w": (256, 64)},
-                                    tasks, "F32")
+        # and the norms walk's diff buffer sets the peak
+        assert_ties_peak_at_eight_tasks(tmp_path, "metagpt")
+
+    def test_traced_peak_of_a_one_walk_merge_past_four_tasks(self, tmp_path):
+        # a norm-free method walks once and combines beside the diff
+        # buffer, in blocks that shrink past four tasks, so its peak is the
+        # same fixed figure
+        assert_ties_peak_at_eight_tasks(tmp_path, "task_arithmetic_fixed")
+
+    @pytest.mark.parametrize("tasks", [3, 8])
+    @pytest.mark.parametrize("method", ["metagpt", "task_arithmetic_fixed"])
+    def test_zero_element_tensors_and_shrunk_blocks(self, tmp_path, method, tasks):
+        # tensors with no elements, between others and last, are written
+        # too; at T = 8 the combine blocks are half a CHUNK, so a tensor of
+        # CHUNK + 9 elements spans three of them
+        shapes = {"a": (CHUNK + 9,), "b": (0,), "c": (7,), "d": (0, 3)}
+        specs, base_p = ties_family(tmp_path, shapes, tasks, "F32")
         recipe = MergeRecipe(
             base=base_p, tasks=specs, output=str(tmp_path / "out.st"),
-            method="metagpt", transform="ties", ties_density=0.2,
+            method=method, transform="ties", ties_density=0.3, output_dtype="F32",
         )
-        peak = traced_peak(lambda: run_recipe(recipe))
-        low, high = merge_peak_range("ties", n)
-        assert low <= peak <= high
+        handle, _ = run_recipe(recipe)
+        expect, _ = reference_merge(base_p, [t.path for t in specs], method=method,
+                                    transform="ties", ties_density=0.3)
+        for name, shape in shapes.items():
+            got = read_tensor(handle, name)
+            assert tuple(got.shape) == shape
+            np.testing.assert_allclose(got.values, expect[name].reshape(-1),
+                                       rtol=2**-23, atol=1e-12)
 
 
 _W = np.random.default_rng(0).standard_normal((3, 50))
@@ -819,20 +937,22 @@ class TestRunRecipe:
         low, high = merge_peak_range(transform, 1 << 20)
         assert low <= peak <= high
 
-    @pytest.mark.parametrize("transform", ["none", "dare"])
+    @pytest.mark.parametrize("transform", ["none", "dare", "ties"])
     def test_node_walk_peak_does_not_grow_with_the_tensor(self, tmp_path, transform):
         # node by node, a tensor four times larger adds nothing to the peak
-        peaks = []
+        # but, with TIES, the size of the diff buffer it partitions
+        beside = []
         for rows in (1024, 4096):
             root = tmp_path / str(rows)
             root.mkdir()
             specs, base_p = ties_family(root, {"emb": (rows, 1024), "w": (256, 64)}, 2, "BF16")
             recipe = MergeRecipe(base=base_p, tasks=specs, output=str(root / "out.st"),
-                                 transform=transform, dare_p=0.9)
-            peaks.append(traced_peak(lambda: run_recipe(recipe)))
-        low, high = merge_peak_range(transform, 1 << 22)
-        assert low <= min(peaks) and max(peaks) <= high
-        assert abs(peaks[1] - peaks[0]) <= 64 << 10
+                                 transform=transform, ties_density=0.2, dare_p=0.9)
+            peak = traced_peak(lambda: run_recipe(recipe))
+            low, high = merge_peak_range(transform, rows * 1024)
+            assert low <= peak <= high
+            beside.append(peak - (8 * rows * 1024 if transform == "ties" else 0))
+        assert abs(beside[1] - beside[0]) <= 64 << 10
 
     def test_mid_merge_failure_leaves_no_output(self, tmp_path):
         # tensor "zz" overflows F16 on write, after "aa" was already written
