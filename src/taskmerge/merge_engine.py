@@ -57,7 +57,7 @@ from . import jsonutil
 from .coefficients import COEFFICIENT_METHODS, NORM_FREE_METHODS, NORM_METHODS, CoefficientSet
 from .errors import RecipeError, ValidationError
 from .rng import CHUNK, drop_threshold, stream_seed, uniform_stream
-from .task_vectors import StatsAccumulator, node_diffs, split, working_buffer
+from .task_vectors import StatsAccumulator, node_diffs, split
 from .tensor_store import (
     _CHUNK,
     CheckpointHandle,
@@ -562,7 +562,8 @@ def run_recipe(
     norms = (raw, transformed)
     # TIES partitions each whole diff in a buffer of the largest tensor;
     # every other step of every merge holds one node or block at a time
-    diff = working_buffer(base) if recipe.transform == "ties" else None
+    largest = max(meta.num_elements for meta in base.index.values())
+    diff = np.empty(largest) if recipe.transform == "ties" else None
     selections: dict[tuple[int, str], tuple[float, int] | None] = {}
     coeffs = coeffs_override
     if coeffs is None and recipe.method in NORM_FREE_METHODS:

@@ -3,8 +3,8 @@
 The merge coefficients downstream need only the squared norms of the task
 vectors, and those are accumulated tensor-by-tensor in 64-bit reals, so whole
 checkpoints never have to be resident. The pairwise Gram matrix (for the
-cosine-similarity diagnostic) is opt-in because it forces all task diffs for
-a tensor to be live at once.
+cosine-similarity diagnostic) is opt-in: it copies each node of every task's
+diff into a row of its own, so the walk holds one node per task.
 
 Reduction order is fixed: numpy's deterministic pairwise reduction within a
 tensor, then a sequential fold over tensors in sorted-name order. Two runs
@@ -32,7 +32,7 @@ from .tensor_store import (
     _CHUNK,
     CheckpointHandle,
     RangeReader,
-    read_tensor,
+    read_tensor,  # noqa: F401 (stats read by range; bench/spans.py wraps this name)
     validate_compatibility,
 )
 
@@ -113,33 +113,6 @@ def blocked_dot(a: np.ndarray, b: np.ndarray) -> float:
     return fold(a.size, (float(np.add.reduce(a[lo:hi] * b[lo:hi])) for lo, hi in leaves), _LEAF)
 
 
-def working_buffer(base: CheckpointHandle) -> np.ndarray:
-    """An uninitialized flat float64 buffer the size of *base*'s largest
-    tensor, for every tensor of a walk to be decoded into: the base in a
-    Gram walk, each diff in a TIES walk that takes norms.
-
-    Held for one walk and dropped with it: a fresh full-size array per read
-    costs its page faults every time.
-    """
-    return np.empty(max(meta.num_elements for meta in base.index.values()))
-
-
-def task_diffs(
-    name: str, base_values: np.ndarray, models: list[CheckpointHandle]
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (t, model_t[name] - base) for each model that holds *name*.
-
-    Each diff is a new array, taken in place on its freshly decoded values,
-    and the next model is read only when the caller asks for it; a model
-    lacking the name is skipped (it contributes zero).
-    """
-    for t, model in enumerate(models):
-        if name in model.index:
-            diff = read_tensor(model, name).values
-            diff -= base_values
-            yield t, diff
-
-
 def node_diffs(
     reader: RangeReader, name: str
 ) -> Iterator[tuple[int, np.ndarray, Iterator[tuple[int, np.ndarray]]]]:
@@ -174,10 +147,11 @@ class StatsAccumulator:
     """Accumulates squared norms (and optionally the Gram matrix) of task
     vectors, one tensor at a time. Works from file streams or raw arrays.
 
-    Norms-only callers can feed one task diff at a time via ``add_partial``,
-    or one node of it at a time via ``add_node`` and then ``fold_nodes``;
-    the Gram path needs every task's diff for a tensor at once, via
-    ``add_tensor``.
+    A walk feeds one node of ``split(n)`` at a time: each task's node via
+    ``add_node`` and, for the Gram matrix, every held task's node of it at
+    once via ``add_pairs``; ``fold_nodes`` then folds the tensor's node sums
+    in. In memory, ``add_partial`` takes one whole task diff and
+    ``add_tensor`` every task's diff of a tensor.
     """
 
     def __init__(self, task_ids: list[str], want_gram: bool = False):
@@ -188,6 +162,7 @@ class StatsAccumulator:
         self._sq = np.zeros(t, dtype=np.float64)
         self._gram = np.zeros((t, t), dtype=np.float64) if want_gram else None
         self._nodes: dict[int, list[float]] = {}
+        self._pairs: dict[tuple[int, int], list[float]] = {}
 
     def add_partial(self, t: int, diff: np.ndarray) -> None:
         self._sq[t] += blocked_dot(diff, diff)
@@ -196,15 +171,29 @@ class StatsAccumulator:
         """Take the squared sum of task t's next node of ``split(n)``."""
         self._nodes.setdefault(t, []).append(blocked_dot(node, node))
 
+    def add_pairs(self, nodes: list[tuple[int, np.ndarray]]) -> None:
+        """Take the product sum of each pair of the next nodes of
+        ``split(n)``, given as (t, node) for each held task in task order."""
+        for a, (i, u) in enumerate(nodes):
+            for j, v in nodes[a + 1 :]:
+                self._pairs.setdefault((i, j), []).append(blocked_dot(u, v))
+
     def fold_nodes(self, n: int) -> None:
-        """Fold each task's node sums of one tensor of n elements up the
-        pairwise tree, as ``add_partial`` of the whole diff would."""
+        """Fold each task's and each pair's node sums of one tensor of n
+        elements up the pairwise tree, as ``add_tensor`` of the whole diffs
+        would."""
         for t, sums in self._nodes.items():
             self._sq[t] += fold(n, sums)
         self._nodes.clear()
+        for (i, j), sums in self._pairs.items():
+            p = fold(n, sums)
+            self._gram[i, j] += p
+            self._gram[j, i] += p
+        self._pairs.clear()
 
     def add_tensor(self, diffs: dict[int, np.ndarray]) -> None:
-        """Fold one tensor's task diffs in. Absent indices contribute zero."""
+        """Fold one tensor's task diffs in, whole. Absent indices contribute
+        zero."""
         for t in sorted(diffs):
             self.add_partial(t, diffs[t])
         if self._gram is not None:
@@ -218,7 +207,7 @@ class StatsAccumulator:
     def finalize(self) -> TaskVectorStats:
         if self._gram is not None:
             # off-diagonals were accumulated pairwise; the diagonal is the
-            # squared norm itself, computed once in add_partial
+            # squared norm itself, computed once per task
             np.fill_diagonal(self._gram, self._sq)
         return TaskVectorStats(
             task_ids=self.task_ids,
@@ -239,10 +228,10 @@ def compute_stats(
     Strict mode rejects any name drift; lenient mode lets tensors missing
     from a model contribute zero to its statistics (they are reported in
     ``missing_names``). Shape mismatches on common names are always fatal.
-    Without the Gram matrix the walk is node-major, as a merge's: each node
-    is read by range from every input, so memory does not grow with any
-    tensor. The Gram pairs need the base tensor and every task's diff of a
-    tensor at once.
+    The walk is node-major, as a merge's: each node is read by range from
+    every input, so memory does not grow with any tensor, and an input at
+    fault is met in (node, task) order. The Gram pairs copy each task's
+    node into a row of its own, one row per task, allocated once per call.
     """
     if not models:
         raise ValidationError("need at least one model")
@@ -256,18 +245,21 @@ def compute_stats(
 
     acc = StatsAccumulator(task_ids, want_gram)
     if want_gram:
-        base_work = working_buffer(base)
+        largest = max(meta.num_elements for meta in base.index.values())
+        rows = np.empty((len(models), min(largest, _CHUNK)))
+    with RangeReader([base, *models]) as reader:
         for name in sorted(base.index):
-            base_values = read_tensor(base, name, out=base_work).values
-            # the Gram pairs need every diff of a tensor at once
-            acc.add_tensor(dict(task_diffs(name, base_values, models)))
-    else:
-        with RangeReader([base, *models]) as reader:
-            for name in sorted(base.index):
-                for _, _, diffs in node_diffs(reader, name):
-                    for t, v in diffs:
-                        acc.add_node(t, v)
-                acc.fold_nodes(base.index[name].num_elements)
+            for _, _, diffs in node_diffs(reader, name):
+                held = []
+                for t, v in diffs:
+                    acc.add_node(t, v)
+                    if want_gram:
+                        # node_diffs reuses its diff array for the next task
+                        row = rows[t, : v.size]
+                        np.copyto(row, v)
+                        held.append((t, row))
+                acc.add_pairs(held)
+            acc.fold_nodes(base.index[name].num_elements)
     stats = acc.finalize()
     stats.missing_names = report.missing_from(base, models, task_ids) or None
     return stats

@@ -340,24 +340,16 @@ class RangeReader:
         self.close()
 
 
-def read_tensor(
-    handle: CheckpointHandle, name: str, out: np.ndarray | None = None
-) -> TensorBuffer:
-    """Decode one tensor to float64, exactly (F16/BF16 widen without loss).
-
-    Given a flat float64 *out* of at least the tensor's size, the values are
-    decoded into ``out[:n]`` and the buffer is a view of it; otherwise they
-    go to a new array. Reusing *out* spares the page faults of a fresh
-    full-size array on every read. The stored bytes are read one chunk at a
-    time, so no stored copy of the tensor is made.
-    """
+def read_tensor(handle: CheckpointHandle, name: str) -> TensorBuffer:
+    """Decode one tensor to a new float64 array, exactly (F16/BF16 widen
+    without loss). The stored bytes are read one chunk at a time, so no
+    stored copy of the tensor is made. The merge and stats walks read by
+    range through a ``RangeReader`` instead."""
     meta = handle.index.get(name)
     if meta is None:
         raise ValidationError(f"{handle.path}: no tensor named '{name}'")
     n = meta.num_elements
-    if out is not None and (out.dtype != np.float64 or out.ndim != 1 or out.size < n):
-        raise ValidationError(f"'{name}' needs a flat float64 buffer of {n} values")
-    values = np.empty(n) if out is None else out[:n]
+    values = np.empty(n)
     with RangeReader([handle], n) as reader:
         reader.decode(0, name, 0, n, values)
     return TensorBuffer(name=name, shape=meta.shape, values=values)

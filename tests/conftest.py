@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from taskmerge import TensorBuffer, write_checkpoint
+from taskmerge.tensor_store import _CHUNK
 
 # Headroom for the engine's per-block scratch (draws, masks, signs, codec
 # chunks). It does not grow with the model.
@@ -15,10 +16,12 @@ SCRATCH = 1 << 20
 # bytes, and the scratch of the codec, the reduction and the draws. Taken
 # from the measured peaks, 2.28-2.41 MB for plain and DARE merges and
 # 1.50 MB for compute_stats without the Gram matrix, at 2**20 and 2**22
-# elements alike. A TIES merge holds one float64 buffer of the largest
-# tensor, the diff it partitions, beside TIES_PEAK of node-sized arrays and
-# scratch (1.51-1.70 MB measured beside that buffer, T = 4 and T = 8). A peak more than
-# NODE_PEAK_SLACK below its figure fails too, so the figure stays tight.
+# elements alike. The Gram matrix adds one float64 row of a node per task
+# (2.43 MiB measured at T = 2, 3.44-3.45 MiB at T = 4). A TIES merge holds
+# one float64 buffer of the largest tensor, the diff it partitions, beside
+# TIES_PEAK of node-sized arrays and scratch (1.51-1.70 MB measured beside
+# that buffer, T = 4 and T = 8). A peak more than NODE_PEAK_SLACK below its
+# figure fails too, so the figure stays tight.
 NODE_MERGE_PEAK = 39 << 16  # 2.4375 MiB
 NODE_STATS_PEAK = 13 << 17  # 1.625 MiB
 TIES_PEAK = 27 << 16  # 1.6875 MiB
@@ -52,6 +55,15 @@ def merge_peak_range(transform: str, elements: int) -> tuple[int, int]:
     figure, whatever the tensors' size. TIES adds one float64 buffer of the
     largest tensor, the diff it partitions, to a fixed figure."""
     figure = NODE_MERGE_PEAK if transform != "ties" else 8 * elements + TIES_PEAK
+    return figure - NODE_PEAK_SLACK, figure
+
+
+def stats_peak_range(tasks: int, want_gram: bool) -> tuple[int, int]:
+    """The documented traced peak of ``compute_stats`` over *tasks* models,
+    as the (lowest, highest) bytes a measurement may show. The walk goes
+    node by node, so the peak is a fixed figure, whatever the tensors' size;
+    the Gram pairs add one float64 row of a node per task."""
+    figure = NODE_STATS_PEAK + (tasks * 8 * _CHUNK if want_gram else 0)
     return figure - NODE_PEAK_SLACK, figure
 
 

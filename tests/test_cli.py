@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from taskmerge import FormatError, MergeRecipe, ValidationError, cli, merge_engine
-from taskmerge import open_checkpoint, run_recipe, task_vectors
+from taskmerge import compute_stats, open_checkpoint, run_recipe, tensor_store
 from taskmerge.task_vectors import split
 from taskmerge.tensor_store import _CHUNK, DTYPE_SIZES
 
@@ -129,13 +129,14 @@ class TestCoeffs:
         assert code == 1
 
     def test_norm_free_reads_no_tensor(self, capsys, monkeypatch, trio):
+        # every payload read, whole or by range, goes through read_payload
         reads = []
 
-        def counted(handle, name, out=None, _read=task_vectors.read_tensor):
+        def counted(handle, name, *args, _read=tensor_store.read_payload):
             reads.append(name)
-            return _read(handle, name, out=out)
+            return _read(handle, name, *args)
 
-        monkeypatch.setattr(task_vectors, "read_tensor", counted)
+        monkeypatch.setattr(tensor_store, "read_payload", counted)
         base, m1, m2 = trio
         for method, lambdas in (("weight-average", [0.5, 0.5]), ("fixed", [0.3, 0.3])):
             code, out, _ = run_cli(capsys, "coeffs", base, m1, m2, "--method", method)
@@ -320,7 +321,7 @@ BAD_BITS = {
 class TestLastNodeFaults:
     """A fault in the last node of the last tensor of the last task keeps
     its error type and text, names that file, exits 2 and leaves no output
-    and no temp file, however far the merge got."""
+    and no temp file, however far the merge or the stats walk got."""
 
     N = 2 * _CHUNK + 9  # "z" splits into three nodes
 
@@ -358,12 +359,7 @@ class TestLastNodeFaults:
     @pytest.mark.parametrize("dtype,kind", sorted(BAD_BITS))
     def test_nonfinite_value(self, capsys, tmp_path, dtype, kind, method, transform, via):
         recipe, last = self.write_family(tmp_path, dtype, method, transform)
-        handle = open_checkpoint(last)
-        lo, hi = list(split(self.N))[-1]
-        with open(last, "r+b") as f:
-            f.seek(handle.data_start + handle.index["z"].byte_range[0]
-                   + (hi - 1) * DTYPE_SIZES[dtype])
-            f.write(BAD_BITS[dtype, kind])
+        self.store(last, self.N - 1, BAD_BITS[dtype, kind])
         self.assert_fails_cleanly(capsys, tmp_path, via, recipe, ValidationError,
                                   f"{last}: non-finite value in 'z'")
 
@@ -411,13 +407,18 @@ class TestLastNodeFaults:
         self.assert_fails_cleanly(capsys, tmp_path, via, recipe, FormatError,
                                   f"{last}: truncated payload for 'z'")
 
+    def store(self, path, at, bits):
+        """Overwrite the stored value at flat index *at* of "z" in *path*."""
+        handle = open_checkpoint(str(path))
+        meta = handle.index["z"]
+        with open(path, "r+b") as f:
+            f.seek(handle.data_start + meta.byte_range[0] + at * DTYPE_SIZES[meta.dtype])
+            f.write(bits)
+
     def spoil(self, path, node):
         """Store a NaN as the first value of "z"'s given node in *path*."""
-        handle = open_checkpoint(str(path))
         lo, _ = list(split(self.N))[node]
-        with open(path, "r+b") as f:
-            f.seek(handle.data_start + handle.index["z"].byte_range[0] + 2 * lo)
-            f.write(BAD_BITS["BF16", "nan"])
+        self.store(path, lo, BAD_BITS["BF16", "nan"])
 
     @pytest.mark.parametrize("transform,named", [("none", 1), ("dare", 1), ("ties", 0)])
     def test_two_faulty_inputs_name_the_first_read(self, capsys, tmp_path, transform, named):
@@ -460,6 +461,65 @@ class TestLastNodeFaults:
         monkeypatch.setattr(merge_engine, "_select", truncating_select)
         self.assert_fails_cleanly(capsys, tmp_path, via, recipe, FormatError,
                                   f"{first}: truncated payload for 'z'")
+
+    def assert_stats_fails_cleanly(self, capsys, tmp_path, monkeypatch, via, gram, error,
+                                   message, cut=None):
+        """``taskmerge stats`` of the family, with the Gram matrix if *gram*,
+        fails with *error* and *message*. *cut*, a (path, size), truncates
+        that file once its handle is open."""
+        paths = [str(tmp_path / name) for name in ("base.st", "m0.st", "m1.st")]
+
+        def opened(path, _open=open_checkpoint):
+            handle = _open(path)
+            if cut is not None and path == cut[0]:
+                os.truncate(*cut)
+            return handle
+
+        if via == "cli":
+            monkeypatch.setattr(cli, "open_checkpoint", opened)
+            code, out, err = run_cli(capsys, "stats", *paths, *(["--gram"] if gram else []))
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+        else:
+            handles = [opened(p) for p in paths]
+            with pytest.raises(error) as caught:
+                compute_stats(handles[0], handles[1:], want_gram=gram)
+            assert type(caught.value) is error and str(caught.value) == message
+
+    @pytest.mark.parametrize("via", ["api", "cli"])
+    @pytest.mark.parametrize("gram", [False, True], ids=["norms", "gram"])
+    @pytest.mark.parametrize("dtype,kind", sorted(BAD_BITS))
+    def test_stats_nonfinite_value(self, capsys, tmp_path, monkeypatch, dtype, kind, gram,
+                                   via):
+        _, last = self.write_family(tmp_path, dtype, "metagpt", "none")
+        self.store(last, self.N - 1, BAD_BITS[dtype, kind])
+        self.assert_stats_fails_cleanly(capsys, tmp_path, monkeypatch, via, gram,
+                                        ValidationError, f"{last}: non-finite value in 'z'")
+
+    @pytest.mark.parametrize("via", ["api", "cli"])
+    @pytest.mark.parametrize("gram", [False, True], ids=["norms", "gram"])
+    @pytest.mark.parametrize("node", [0, 1], ids=["first", "middle"])
+    def test_stats_truncated_after_open(self, capsys, tmp_path, monkeypatch, node, gram, via):
+        # all but one byte of the given node of "z", which is stored last
+        _, last = self.write_family(tmp_path, "BF16", "metagpt", "none")
+        handle = open_checkpoint(last)
+        lo, _ = list(split(self.N))[node]
+        size = handle.data_start + handle.index["z"].byte_range[0] + 2 * lo + 1
+        self.assert_stats_fails_cleanly(capsys, tmp_path, monkeypatch, via, gram, FormatError,
+                                        f"{last}: truncated payload for 'z'",
+                                        cut=(last, size))
+
+    @pytest.mark.parametrize("via", ["api", "cli"])
+    @pytest.mark.parametrize("gram", [False, True], ids=["norms", "gram"])
+    def test_stats_two_faulty_inputs_name_the_first_read(self, capsys, tmp_path, monkeypatch,
+                                                         gram, via):
+        # task 0's "z" is bad in its last node and task 1's in its first:
+        # with or without the Gram pairs, stats read node by node
+        self.write_family(tmp_path, "BF16", "metagpt", "none")
+        self.spoil(tmp_path / "m0.st", -1)
+        self.spoil(tmp_path / "m1.st", 0)
+        self.assert_stats_fails_cleanly(capsys, tmp_path, monkeypatch, via, gram,
+                                        ValidationError,
+                                        f"{tmp_path / 'm1.st'}: non-finite value in 'z'")
 
 
 class TestVerify:

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,8 @@ from taskmerge import (
 from taskmerge.task_vectors import _LEAF, blocked_dot, fold, split
 from taskmerge.tensor_store import _CHUNK
 
-from conftest import NODE_PEAK_SLACK, NODE_STATS_PEAK, traced_peak, write_ckpt
+from conftest import stats_peak_range, traced_peak, write_ckpt
+from dense_reference import read_checkpoint_dense
 
 
 class TestComputeStats:
@@ -90,10 +94,9 @@ class TestComputeStats:
         monkeypatch.setattr(tensor_store, "read_payload", range_spy)
         monkeypatch.setattr(task_vectors, "read_tensor", tensor_spy)
         sizes = {name: int(np.prod(shape)) for name, shape in shapes.items()}
-        # a node walk reads the nodes of split(n); a whole read, chunks
-        nodes = [(name, lo, hi) for name, n in sizes.items() for lo, hi in split(n)]
-        chunks = [(name, lo, min(lo + _CHUNK, n)) for name, n in sizes.items()
-                  for lo in range(0, n, _CHUNK)]
+        # the walk reads the nodes of split(n), in (node, input) order
+        nodes = [(p, name, lo, hi) for name, n in sizes.items() for lo, hi in split(n)
+                 for p in paths]
         results = []
         for want_gram in (False, True):
             ranged.clear()
@@ -101,23 +104,19 @@ class TestComputeStats:
             handles = [open_checkpoint(p) for p in paths]
             results.append(compute_stats(handles[0], handles[1:], want_gram=want_gram))
             # every payload byte once, in ranged reads of at most _CHUNK values
-            assert sorted(r[:4] for r in ranged) == sorted(
-                (p, *r) for p in paths for r in (chunks if want_gram else nodes))
+            assert [r[:4] for r in ranged] == nodes
             for h in handles:
                 payload = sum(meta.num_bytes for meta in h.index.values())
                 assert h.bytes_read == h.data_start + payload
-            # norms only: each node lands in one reused byte buffer, and no
-            # tensor is read whole. The Gram pairs hold every diff of a
-            # tensor, so only the base decodes into a reused buffer
-            if not want_gram:
-                assert len({id(r[4]) for r in ranged}) == 1 and whole == []
-            else:
-                assert len(whole) == 9 and all(is_base == has_out for is_base, has_out in whole)
+            # with or without the Gram pairs, each node lands in one reused
+            # byte buffer, and no tensor is read whole
+            assert len({id(r[4]) for r in ranged}) == 1 and whole == []
         assert results[1].sq_norms == results[0].sq_norms
 
-    def test_norms_peak_does_not_grow_with_the_tensor(self, tmp_path):
-        # without the Gram matrix the walk goes node by node: a fixed peak,
-        # the same for a tensor four times larger
+    @staticmethod
+    def peaks(tmp_path, tasks, want_gram):
+        """Traced peaks of compute_stats on BF16 families whose largest
+        tensor holds 2**20 and 2**22 elements."""
         rng = np.random.default_rng(9)
         peaks = []
         for rows in (1024, 4096):
@@ -125,11 +124,25 @@ class TestComputeStats:
             paths = [write_ckpt(tmp_path / f"b{rows}.st", base, dtype="BF16")]
             paths += [write_ckpt(tmp_path / f"m{rows}-{t}.st",
                                  {n: v + 0.1 * (t + 1) for n, v in base.items()}, dtype="BF16")
-                      for t in range(2)]
+                      for t in range(tasks)]
             handles = [open_checkpoint(p) for p in paths]
-            peaks.append(traced_peak(lambda: compute_stats(handles[0], handles[1:])))
-        assert NODE_STATS_PEAK - NODE_PEAK_SLACK <= min(peaks)
-        assert max(peaks) <= NODE_STATS_PEAK
+            peaks.append(traced_peak(
+                lambda: compute_stats(handles[0], handles[1:], want_gram=want_gram)))
+        return peaks
+
+    def test_norms_peak_does_not_grow_with_the_tensor(self, tmp_path):
+        # the walk goes node by node: a fixed peak, the same for a tensor
+        # four times larger
+        peaks = self.peaks(tmp_path, 2, False)
+        low, high = stats_peak_range(2, False)
+        assert low <= min(peaks) and max(peaks) <= high
+        assert abs(peaks[1] - peaks[0]) <= 64 << 10
+
+    @pytest.mark.parametrize("tasks", [2, 4])
+    def test_gram_peak_is_fixed_plus_a_node_row_per_task(self, tmp_path, tasks):
+        peaks = self.peaks(tmp_path, tasks, True)
+        low, high = stats_peak_range(tasks, True)
+        assert low <= min(peaks) and max(peaks) <= high
         assert abs(peaks[1] - peaks[0]) <= 64 << 10
 
     def test_bitwise_deterministic(self, small_family):
@@ -340,6 +353,49 @@ def test_fold_of_node_sums_matches_numpy_bit_for_bit(n, seed, lo, span, zeros):
     assert nodes[-1][1] == n and all(b - a <= _CHUNK for a, b in nodes)
     sums = [blocked_dot(x[a:b], y[a:b]) for a, b in nodes]
     assert np.float64(fold(n, sums)).tobytes() == np.sum(x * y).tobytes()
+
+
+# Sizes on each side of the reduction's leaf and of a node; the last splits
+# into three nodes
+GRAM_SIZES = [0, 1, _LEAF - 1, _LEAF + 1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sizes=st.lists(st.sampled_from(GRAM_SIZES), min_size=1, max_size=3),
+    dtype=st.sampled_from(["F32", "BF16", "F16"]),
+    tasks=st.integers(1, 4),
+    held=st.lists(st.booleans(), min_size=12, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_node_gram_matches_dense_sums_bit_for_bit(sizes, dtype, tasks, held, seed):
+    rng = np.random.default_rng(seed)
+    names = [f"t{i}" for i in range(len(sizes))]
+    base = {name: rng.standard_normal(n) for name, n in zip(names, sizes)}
+    models = []
+    for t in range(tasks):
+        # tensor i is missing from task t unless held[3 * t + i]; every
+        # model also holds a tensor the base lacks, so none is empty
+        model = {name: base[name] + 0.1 * (t + 1) * rng.standard_normal(base[name].size)
+                 for i, name in enumerate(names) if held[3 * t + i]}
+        models.append({**model, "x": np.ones(3)})
+    with tempfile.TemporaryDirectory() as d:
+        base_p = write_ckpt(Path(d) / "base.st", base, dtype=dtype)
+        model_ps = [write_ckpt(Path(d) / f"m{t}.st", m, dtype=dtype)
+                    for t, m in enumerate(models)]
+        stats = compute_stats(open_checkpoint(base_p), [open_checkpoint(p) for p in model_ps],
+                              want_gram=True, strict=False)
+        # the oracle: np.sum of each tensor's products, folded in sorted-name order
+        dense_base = read_checkpoint_dense(base_p)
+        dense = [read_checkpoint_dense(p) for p in model_ps]
+    gram = np.zeros((tasks, tasks))
+    for name in sorted(dense_base):
+        diffs = {t: m[name] - dense_base[name] for t, m in enumerate(dense) if name in m}
+        for i in diffs:
+            for j in diffs:
+                gram[i, j] += float(np.sum(diffs[i] * diffs[j]))
+    assert stats.gram.tobytes() == gram.tobytes()
+    assert np.array(stats.sq_norms).tobytes() == np.diag(gram).tobytes()
 
 
 def test_blocked_sum_of_negative_zeros_is_positive_zero():

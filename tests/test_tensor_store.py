@@ -307,23 +307,6 @@ class TestReadDecode:
         assert str(caught.value) == f"{p}: truncated payload for 'a'"
         assert handle.bytes_read == start
 
-    @pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
-    def test_decode_into_head_of_out(self, tmp_path, dtype):
-        p = write_ckpt(tmp_path / "c.st", {"a": np.array([1.0, -2.5, 0.5])}, dtype=dtype)
-        out = np.full(5, 7.0)
-        buf = read_tensor(open_checkpoint(p), "a", out=out)
-        assert buf.values.tolist() == [1.0, -2.5, 0.5]
-        assert np.shares_memory(buf.values, out)
-        assert out.tolist() == [1.0, -2.5, 0.5, 7.0, 7.0]
-
-    @pytest.mark.parametrize(
-        "out", [np.empty(2), np.empty(3, dtype=np.float32), np.empty((3, 1))]
-    )
-    def test_unfit_out_rejected(self, tmp_path, out):
-        p = write_ckpt(tmp_path / "c.st", {"a": np.array([1.0, -2.5, 0.5])})
-        with pytest.raises(ValidationError, match="flat float64 buffer"):
-            read_tensor(open_checkpoint(p), "a", out=out)
-
     def test_unknown_name(self, tmp_path):
         p = write_ckpt(tmp_path / "c.st", {"a": np.zeros(2)})
         with pytest.raises(ValidationError, match="no tensor named"):
