@@ -13,33 +13,33 @@ walks twice: norms only, then combine only. The norm-free methods and given
 coefficients fix lambda before any tensor is read, so their merge walks
 once, feeding both sinks, with the same norms and report.
 
-Memory never grows with total model size, and without TIES not with the
-size of any tensor. The walk is node-major: for each node of at most
-``_CHUNK`` elements of numpy's pairwise tree, the base's range and each
-task's range are read from inputs held open for the walk, decoded, diffed,
+Memory never grows with total model size, nor with the size of any
+tensor. The walk is node-major: for each node of at most ``_CHUNK``
+elements of numpy's pairwise tree, the base's range and each task's range
+are read from inputs held open for the walk, decoded, diffed,
 square-summed, dropped, scaled and added while in cache, and the node of
 the sum is appended to the output before the next node is read. A TIES
-trim selects on a whole diff, so a walk that takes norms holds one buffer
-the size of the largest tensor: each diff is read into it node by node and
-partitioned there in place, as int64 bits, and a later sweep over the nodes
-re-reads the task to trim it and take its transformed norm (see
-``_ties_norms``). TIES selects once per (task, tensor) and records the
-selection; combining rebuilds the same trim from it with one compare per
-element and no partition, one block of ``CHUNK`` elements at a time, and
-elects signs there.
-Measured with tracemalloc, for the float64 buffer B of the largest tensor,
-the peak is at most:
-  - no transform or DARE, any number of tasks: a fixed 2.4375 MiB (2.28-2.41
-    MB measured) of node-sized arrays and one chunk of stored bytes,
-    whatever the size of the tensors;
-  - TIES: B plus a fixed 1.6875 MiB (1.51-1.70 MB measured beside B at
-    four and eight tasks), the same at 2**20 and 2**22 elements. Combining
-    holds one block per task, and the blocks shrink past four tasks, so a
-    merge that walks once, combining beside B, stays inside that figure.
+trim keeps the k largest magnitudes of a diff, and a
+``selection.Selection`` finds the k-th exactly in passes over the nodes,
+with one fixed buffer of candidates: its first pass rides in the sweep
+that reads a task for its raw norm, and a later sweep re-reads the task
+to trim it and take its transformed norm (see ``_ties_norms``). TIES selects once per (task,
+tensor) and records the selection; combining rebuilds the same trim from
+it with one compare per element, one block of ``CHUNK`` elements at a
+time, and elects signs there.
+Measured with tracemalloc, the peak is at most a fixed figure, whatever the
+size of the tensors:
+  - no transform or DARE, any number of tasks: 2.4375 MiB (2.28-2.41 MB
+    measured) of node-sized arrays and one chunk of stored bytes;
+  - TIES: 2.3125 MiB (2.16-2.35 MB measured at one to eight tasks, 2**20
+    and 2**22 elements) of node-sized arrays, the selection's buffer and
+    scratch. Combining holds one block per task, and the blocks shrink
+    past four tasks, so a merge that walks once stays inside that figure.
 An input at fault is met in read order: node by node, so of two faulty
 inputs of one tensor the error names the one whose fault comes first in
 (node, task) order; with TIES in (sweep, node) order, where sweep i reads
-the base and tasks i - 1 and i.
+the base and tasks i - 1 and i, and a further pass of task i's selection
+re-reads the base and task i before sweep i + 1.
 Everything is deterministic: re-running a recipe with the same seed
 produces byte-identical output files and reports.
 """
@@ -57,7 +57,8 @@ from . import jsonutil
 from .coefficients import COEFFICIENT_METHODS, NORM_FREE_METHODS, NORM_METHODS, CoefficientSet
 from .errors import RecipeError, ValidationError
 from .rng import CHUNK, drop_threshold, stream_seed, uniform_stream
-from .task_vectors import StatsAccumulator, node_diffs, split
+from .selection import Selection
+from .task_vectors import StatsAccumulator, node_arrays, node_diffs, split
 from .tensor_store import (
     _CHUNK,
     CheckpointHandle,
@@ -69,8 +70,6 @@ from .tensor_store import (
 )
 
 TRANSFORMS = ("none", "ties", "dare")
-# clears the sign bit of a float64 viewed as int64
-_MAGNITUDE_BITS = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 NORM_SOURCES = ("raw", "transformed")
 OUTPUT_DTYPES = ("base", "F32")
 
@@ -217,18 +216,19 @@ def ties_trim(values: np.ndarray, density: float) -> tuple[float, int] | None:
     """Keep the ceil(density * n) largest-magnitude elements of the flat
     float64 array *values* and zero the rest, in place.
 
-    O(n): ``_select`` finds the k-th largest magnitude ``thr`` on a copy of
-    the magnitudes; every element with ``|v| > thr`` is kept, and the
+    O(n), with the engine's pieces: a ``selection.Selection`` finds the
+    k-th largest magnitude ``thr`` in passes over the nodes of
+    ``split(n)``; every element with ``|v| > thr`` is kept, and the
     remaining slots go to the elements with ``|v| == thr``, lowest flat
     index first. That is the order of a stable descending sort by
-    magnitude, so the result does not depend on how the partition breaks
-    ties. Dropped elements become +0.0; kept ones, -0.0 included, are left
-    as they are. Values must be finite, as every tensor the engine reads is.
+    magnitude. Dropped elements become +0.0; kept ones, -0.0 included, are
+    left as they are. Values must be finite, as every tensor the engine
+    reads is: a NaN or an infinity raises ValidationError.
 
     Returns the selection ``(thr, last)``, where ``last`` is the flat index
     of the last kept tie: ``_trim_node(copy, 0, thr, 0, last)`` trims an
-    unchanged copy of *values* to the same bytes without a partition. When
-    ceil(density * n) >= n nothing is dropped and the result is None.
+    unchanged copy of *values* to the same bytes. When ceil(density * n) >=
+    n nothing is dropped and the result is None.
     """
     if not 0.0 < density <= 1.0:
         raise ValidationError(f"density out of range (0, 1]: {density}")
@@ -236,29 +236,21 @@ def ties_trim(values: np.ndarray, density: float) -> tuple[float, int] | None:
     k = math.ceil(density * n)
     if k >= n:
         return None
-    thr, need = _select(values.copy(), k)
+    scratch = np.empty(min(n, _CHUNK))
+
+    def magnitudes():
+        for lo, hi in split(n):
+            yield np.abs(values[lo:hi], out=scratch[: hi - lo])
+
+    select = Selection(n, k)
+    for mag in magnitudes():
+        # NaN fails every compare, so no count would ever reach k
+        if not mag.max() <= sys.float_info.max:
+            raise ValidationError("ties_trim needs finite values")
+        select.add(mag)
+    thr, need = select.finish(magnitudes)
     _, last = _trim_node(values, 0, thr, need, -1)
     return thr, last
-
-
-def _select(values: np.ndarray, k: int) -> tuple[float, int]:
-    """The threshold ``thr``, the k-th largest magnitude of the contiguous
-    flat float64 array *values*, and how many elements equal to it a
-    selection of k keeps. *values* is overwritten, with no copy made: its
-    bits, viewed as int64 with the sign bits cleared, are partitioned in
-    place. For finite values with the sign bit clear, int64 order is float
-    order, subnormals included, and -0.0 and +0.0 both become 0."""
-    n = values.size
-    bits = values.view(np.int64)
-    bits &= _MAGNITUDE_BITS
-    bits.partition(n - k)
-    thr = float(values[n - k])
-    # every magnitude above thr sits after position n - k. Less thr, those
-    # are the nonzeros there, so the slots left for ties are counted with
-    # no mask
-    tail = bits[n - k + 1 :]
-    tail -= bits[n - k]
-    return thr, k - int(np.count_nonzero(tail))
 
 
 def _trim_node(
@@ -344,7 +336,6 @@ def dare_transform(
 def _walk(
     reader: RangeReader,
     recipe: MergeRecipe,
-    diff: np.ndarray | None,
     selections: dict[tuple[int, str], tuple[float, int] | None],
     norms: tuple[StatsAccumulator, StatsAccumulator | None] | None = None,
     combine: tuple[list[float], CheckpointWriter] | None = None,
@@ -358,33 +349,35 @@ def _walk(
       - combine (lambdas, writer): writes base + sum_t lambda_t * tv_t.
 
     Without TIES the walk is node-major, nodes of ``split`` outside and
-    tasks inside. Each task's node sums fold up the pairwise tree and every
-    element gets base + lambda_0 * tv_0 + lambda_1 * tv_1 + ... in task
-    order, so norms and sum are the bits a whole-tensor walk gives.
+    tasks inside, in node arrays made once for the walk. Each task's node
+    sums fold up the pairwise tree and every element gets base + lambda_0 *
+    tv_0 + lambda_1 * tv_1 + ... in task order, so norms and sum are the
+    bits a whole-tensor walk gives.
 
     With TIES, ``_ties_norms`` takes the norms and records in *selections*,
-    under (t, name), what each trim selected, partitioning each whole diff
-    in *diff*, a buffer the size of the largest tensor. ``_ties_combine``
-    then replays every trim from its selection, block by block.
+    under (t, name), what each trim selected. ``_ties_combine`` then
+    replays every trim from its selection, block by block.
     """
     raw, transformed = norms or (None, None)
     lambdas, writer = combine or (None, None)
     base = reader.handles[0]
     ties = recipe.transform == "ties"
-    sum_work = np.empty(_CHUNK) if writer is not None and not ties else None
+    if not ties:
+        # the base's node, the diffs' and, when combining, the sum's
+        nodes = node_arrays(base, 2 if writer is None else 3)
     for name in sorted(base.index):
         meta = base.index[name]
         if ties:
             holders = [t for t, model in enumerate(reader.handles[1:]) if name in model.index]
             if raw is not None:
-                _ties_norms(reader, name, holders, diff, recipe.ties_density, selections,
+                _ties_norms(reader, name, holders, recipe.ties_density, selections,
                             raw, transformed)
             if writer is not None:
                 _ties_combine(reader, name, holders, lambdas, selections, writer)
             continue
-        for lo, base_node, diffs in node_diffs(reader, name):
+        for lo, base_node, diffs in node_diffs(reader, name, nodes):
             if writer is not None:
-                node_sum = sum_work[: base_node.size]
+                node_sum = nodes[2, : base_node.size]
                 np.copyto(node_sum, base_node)
             for t, v in diffs:
                 if raw is not None:
@@ -407,7 +400,6 @@ def _ties_norms(
     reader: RangeReader,
     name: str,
     holders: list[int],
-    diff: np.ndarray,
     density: float,
     selections: dict[tuple[int, str], tuple[float, int] | None],
     raw: StatsAccumulator,
@@ -420,34 +412,44 @@ def _ties_norms(
     Sweep i decodes each base node once and does two jobs on it. It
     finishes task i - 1: re-reads the task's node, diffs it, trims it as
     ``ties_trim`` would and square-sums it. It starts task i: reads the
-    node into ``diff[lo:hi]``, diffs it and square-sums it. Once the whole
-    diff is in, ``_select`` partitions it in place. So the one tensor-sized
-    buffer is *diff*, and an input at fault is met in (sweep, node) order.
+    node, diffs it, square-sums it and counts its magnitudes in the first
+    pass of task i's ``Selection``. Should that pass not settle the
+    selection, further passes re-read the base and task i, node by node,
+    before sweep i + 1. Nothing tensor-sized is held, and an input at fault
+    is met in (sweep, node) order.
     """
     n = reader.handles[0].index[name].num_elements
     k = math.ceil(density * n)
     base_node, node = np.empty(min(n, _CHUNK)), np.empty(min(n, _CHUNK))
+    select = Selection(n, k) if k < n else None
+
+    def magnitudes(t):
+        for lo, hi in split(n):
+            b = base_node[: hi - lo]
+            reader.decode(0, name, lo, hi, b)
+            v = _replay(reader, t, name, lo, b, None, node[: hi - lo])
+            yield np.abs(v, out=v)
+
     for i in range(len(holders) + 1 if holders else 0):
+        if select is not None and i < len(holders):
+            select.restart()
         for lo, hi in split(n):
             b = base_node[: hi - lo]
             reader.decode(0, name, lo, hi, b)
             if i:
-                v = node[: hi - lo]
-                reader.decode(holders[i - 1] + 1, name, lo, hi, v)
-                v -= b
-                if k < n:
+                v = _replay(reader, holders[i - 1], name, lo, b, None, node[: hi - lo])
+                if select is not None:
                     need, last = _trim_node(v, lo, thr, need, last)
                 transformed.add_node(holders[i - 1], v)
             if i < len(holders):
-                v = diff[lo:hi]
-                reader.decode(holders[i] + 1, name, lo, hi, v)
-                v -= b
+                v = _replay(reader, holders[i], name, lo, b, None, node[: hi - lo])
                 raw.add_node(holders[i], v)
+                if select is not None:
+                    select.add(np.abs(v, out=v))
         if i:
-            selections[holders[i - 1], name] = (thr, last) if k < n else None
-        if i < len(holders) and k < n:
-            thr, need = _select(diff[:n], k)
-            last = -1
+            selections[holders[i - 1], name] = (thr, last) if select is not None else None
+        if i < len(holders) and select is not None:
+            (thr, need), last = select.finish(lambda: magnitudes(holders[i])), -1
     raw.fold_nodes(n)
     transformed.fold_nodes(n)
 
@@ -560,10 +562,6 @@ def run_recipe(
     raw = StatsAccumulator(task_ids)
     transformed = StatsAccumulator(task_ids) if recipe.transform != "none" else None
     norms = (raw, transformed)
-    # TIES partitions each whole diff in a buffer of the largest tensor;
-    # every other step of every merge holds one node or block at a time
-    largest = max(meta.num_elements for meta in base.index.values())
-    diff = np.empty(largest) if recipe.transform == "ties" else None
     selections: dict[tuple[int, str], tuple[float, int] | None] = {}
     coeffs = coeffs_override
     if coeffs is None and recipe.method in NORM_FREE_METHODS:
@@ -575,15 +573,13 @@ def run_recipe(
     with RangeReader([base, *models]) as reader:
         if coeffs is None:
             # the coefficients read norms: take them all before combining
-            _walk(reader, recipe, diff, selections, norms=norms)
+            _walk(reader, recipe, selections, norms=norms)
             use_raw = recipe.norm_source == "raw" or transformed is None
             coeffs = NORM_METHODS[recipe.method]((raw if use_raw else transformed).finalize())
-            # combining replays each trim from its selection: no diff buffer
-            norms, diff = None, None
+            norms = None
         writer = CheckpointWriter(recipe.output, specs, metadata=base.metadata)
         try:
-            _walk(reader, recipe, diff, selections,
-                  norms=norms, combine=(coeffs.lambdas, writer))
+            _walk(reader, recipe, selections, norms=norms, combine=(coeffs.lambdas, writer))
         except Exception:
             writer.abort()
             raise

@@ -113,22 +113,31 @@ def blocked_dot(a: np.ndarray, b: np.ndarray) -> float:
     return fold(a.size, (float(np.add.reduce(a[lo:hi] * b[lo:hi])) for lo, hi in leaves), _LEAF)
 
 
+def node_arrays(base: CheckpointHandle, rows: int) -> np.ndarray:
+    """*rows* float64 arrays of one node of *base*'s largest tensor, as the
+    rows of one array: a walk makes its node arrays once, so no tensor's
+    arrays are still held while the next tensor's nodes are read."""
+    largest = max((meta.num_elements for meta in base.index.values()), default=0)
+    return np.empty((rows, min(largest, _CHUNK)))
+
+
 def node_diffs(
-    reader: RangeReader, name: str
+    reader: RangeReader, name: str, nodes: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray, Iterator[tuple[int, np.ndarray]]]]:
     """Walk tensor *name* node by node: yield (lo, base node, diffs) for
     each node ``[lo, hi)`` of ``split(n)``, where diffs yields (t,
     model_t[name][lo:hi] - base[lo:hi]) for each model that holds *name*.
 
     Input 0 of *reader* is the base and input t + 1 is model t. Each node is
-    read by range from every input and decoded into one of two node-sized
-    arrays, the base's and the diffs', so the caller must be done with a
-    diff before asking for the next one; no tensor-sized array is made.
+    read by range from every input and decoded into one of the first two
+    rows of *nodes* (see ``node_arrays``), the base's and the diffs', so the
+    caller must be done with a diff before asking for the next one; no
+    tensor-sized array is made.
     """
     base, models = reader.handles[0], reader.handles[1:]
     holders = [t for t, model in enumerate(models) if name in model.index]
     n = base.index[name].num_elements
-    base_node, diff = np.empty(min(n, _CHUNK)), np.empty(min(n, _CHUNK))
+    base_node, diff = nodes[0], nodes[1]
 
     def diffs(lo, b):
         for t in holders:
@@ -231,7 +240,8 @@ def compute_stats(
     The walk is node-major, as a merge's: each node is read by range from
     every input, so memory does not grow with any tensor, and an input at
     fault is met in (node, task) order. The Gram pairs copy each task's
-    node into a row of its own, one row per task, allocated once per call.
+    node into a row of its own, one row per task. All node arrays are
+    allocated once per call.
     """
     if not models:
         raise ValidationError("need at least one model")
@@ -244,18 +254,17 @@ def compute_stats(
     report.require(strict)
 
     acc = StatsAccumulator(task_ids, want_gram)
-    if want_gram:
-        largest = max(meta.num_elements for meta in base.index.values())
-        rows = np.empty((len(models), min(largest, _CHUNK)))
+    # the base's node and the diffs', then a row per task for the Gram pairs
+    nodes = node_arrays(base, 2 + (len(models) if want_gram else 0))
     with RangeReader([base, *models]) as reader:
         for name in sorted(base.index):
-            for _, _, diffs in node_diffs(reader, name):
+            for _, _, diffs in node_diffs(reader, name, nodes):
                 held = []
                 for t, v in diffs:
                     acc.add_node(t, v)
                     if want_gram:
                         # node_diffs reuses its diff array for the next task
-                        row = rows[t, : v.size]
+                        row = nodes[2 + t, : v.size]
                         np.copyto(row, v)
                         held.append((t, row))
                 acc.add_pairs(held)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from taskmerge import FormatError, MergeRecipe, ValidationError, cli, merge_engine
-from taskmerge import compute_stats, open_checkpoint, run_recipe, tensor_store
+from taskmerge import compute_stats, open_checkpoint, run_recipe, selection, tensor_store
 from taskmerge.task_vectors import split
 from taskmerge.tensor_store import _CHUNK, DTYPE_SIZES
 
@@ -447,18 +447,18 @@ class TestLastNodeFaults:
     @pytest.mark.parametrize("method", ["metagpt", "task_arithmetic_fixed"])
     def test_ties_task_truncated_between_its_sweeps(self, capsys, tmp_path, monkeypatch,
                                                      method, via):
-        # task 0's "z" is cut once its first sweep has read it whole, so the
-        # sweep that re-reads it to trim meets the cut
+        # task 0's "z" is cut once its first sweep has read it whole, before
+        # its selection ends, so the read after meets the cut
         recipe, _ = self.write_family(tmp_path, "BF16", method, "ties")
         first = str(tmp_path / "m0.st")
         size = os.path.getsize(first) - 2
 
-        def truncating_select(values, k, _select=merge_engine._select):
-            if values.size == self.N:
+        def truncating_finish(select, again, _finish=selection.Selection.finish):
+            if select.n == self.N:
                 os.truncate(first, size)
-            return _select(values, k)
+            return _finish(select, again)
 
-        monkeypatch.setattr(merge_engine, "_select", truncating_select)
+        monkeypatch.setattr(selection.Selection, "finish", truncating_finish)
         self.assert_fails_cleanly(capsys, tmp_path, via, recipe, FormatError,
                                   f"{first}: truncated payload for 'z'")
 

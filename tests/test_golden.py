@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from taskmerge import CoefficientSet, MergeRecipe, TaskSpec, compute_stats, merge_engine
-from taskmerge import open_checkpoint, run_recipe, tensor_store
+from taskmerge import open_checkpoint, run_recipe, selection, tensor_store
 from taskmerge.coefficients import COEFFICIENT_METHODS
 from taskmerge.task_vectors import split
 from taskmerge.tensor_store import _CHUNK
@@ -176,6 +176,76 @@ def test_norm_free_merges_read_each_tensor_once(tmp_path, monkeypatch, method, o
     for h in inputs:
         payload = sum(meta.num_bytes for meta in h.index.values())
         assert h.bytes_read == h.data_start + walks * payload
+
+
+@pytest.mark.parametrize("refine", [None, "first node", "capacity"])
+@pytest.mark.parametrize("method", ["metagpt", "task_arithmetic_fixed"])
+def test_ties_reads_each_task_three_times(tmp_path, monkeypatch, method, refine):
+    # per tensor, T + 1 sweeps take the norms and select, reading the base
+    # each time, each task in two of them, and one walk combines: the base
+    # is read T + 2 times and each task 3 times. A selection that needs
+    # another pass re-reads its task and the base once per pass.
+    # "first node": task a's "z" has a first node of diffs far larger than
+    # the rest, so the first pass's pivots miss; "capacity": a buffer of one
+    # candidate overflows
+    rng = np.random.default_rng(5)
+    names = {"x": (4,), "y": (2, 3), "z": (_CHUNK + 5,)}  # "z" splits into two nodes
+    arrays = [{n: exact_values(rng, s) for n, s in names.items()} for _ in range(3)]
+    if refine == "first node":
+        arrays[1]["z"][:_CHUNK // 2] += 2.0**20 * rng.integers(1, 100, _CHUNK // 2)
+    paths = [write_ckpt(tmp_path / f"{i}.st", a) for i, a in enumerate(arrays)]
+    if refine == "capacity":
+        monkeypatch.setattr(selection, "_CANDIDATES", 1)
+    reads = []
+
+    def counted(handle, name, lo, hi, *args, _read=tensor_store.read_payload):
+        reads.append((handle.path, name, lo, hi))
+        return _read(handle, name, lo, hi, *args)
+
+    monkeypatch.setattr(tensor_store, "read_payload", counted)
+    # the passes each (task, tensor) selection took, in the order selected
+    passes = []
+    real_finish = selection.Selection.finish
+
+    def finish(select, again):
+        levels = [0]
+
+        def counting_again():
+            levels[0] += 1
+            return again()
+
+        result = real_finish(select, counting_again)
+        passes.append((select.n, levels[0]))
+        return result
+
+    monkeypatch.setattr(selection.Selection, "finish", finish)
+    recipe = MergeRecipe(
+        base=paths[0],
+        tasks=[TaskSpec("a", paths[1]), TaskSpec("b", paths[2])],
+        output=str(tmp_path / "out.st"),
+        method=method, transform="ties", ties_density=0.3,
+    )
+    run_recipe(recipe)
+    # per tensor, in sorted-name order, task a's selection then task b's
+    extra = {name: [lv for _, lv in passes[2 * i : 2 * i + 2]]
+             for i, name in enumerate(sorted(names))}
+    assert [n for n, _ in passes] == [math.prod(names[n]) for n in sorted(names) for _ in "ab"]
+    if refine is None:
+        assert all(lv == [0, 0] for lv in extra.values())
+    else:
+        assert extra["z"][0] >= 1
+    if refine == "first node":
+        assert extra["x"] == extra["y"] == [0, 0] and extra["z"][1] == 0
+    # every element of every tensor is read as many times from each input:
+    # the base T + 2 times at T = 2, each task 3 times, plus the extra passes
+    for name, shape in names.items():
+        a, b = extra[name]
+        for path, times in zip(paths, (2 + 2 + a + b, 3 + a, 3 + b)):
+            covered = np.zeros(math.prod(shape), dtype=np.int64)
+            for p, n, lo, hi in reads:
+                if (p, n) == (path, name):
+                    covered[lo:hi] += 1
+            assert np.all(covered == times), (name, path)
 
 
 if __name__ == "__main__":

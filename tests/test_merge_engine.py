@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from taskmerge import merge_engine
+from taskmerge import merge_engine, selection
 from taskmerge.rng import CHUNK
 from taskmerge.task_vectors import _LEAF, split
 from taskmerge.tensor_store import _CHUNK
@@ -86,6 +86,69 @@ def ties_trim_oracle(values, density):
 # Magnitudes that tie often, with signed zeros and subnormals among them
 TRIM_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.5, -0.5, 1.0, -1.0,
                2.0, -2.0]
+
+
+def streamed_selection(values, k):
+    """``(thr, need)`` of the engine's selection of the k largest magnitudes
+    of *values*, fed its nodes' magnitudes one at a time, as the norms walk
+    feeds it, and re-fed them for every further pass it asks for."""
+    n = values.size
+    select = selection.Selection(n, k)
+
+    def nodes():
+        for lo, hi in split(n):
+            yield np.abs(values[lo:hi])
+
+    for mag in nodes():
+        select.add(mag)
+    return select.finish(nodes)
+
+
+def first_pass_candidates(values, k):
+    """How many candidates the first pass of the selection of the k largest
+    magnitudes of *values* meets, whatever the buffer holds."""
+    select = selection.Selection(values.size, k)
+    for lo, hi in split(values.size):
+        select.add(np.abs(values[lo:hi]))
+    return select.count
+
+
+def assert_streams_like_oracle(values, k):
+    """The streamed selection of *values* and its trim node by node equal
+    the whole-array oracle's ``(thr, need, last)`` and bytes, and so does the
+    public ties_trim."""
+    n = values.size
+    density = (k - 0.5) / n
+    assert math.ceil(density * n) == k
+    want = values.copy()
+    thr, last = ties_trim_oracle(want, density)
+    need = k - int(np.count_nonzero(np.abs(values) > thr))
+    assert streamed_selection(values, k) == (thr, need)
+    got, last_seen = values.copy(), -1
+    for lo, hi in split(n):
+        need, last_seen = merge_engine._trim_node(got[lo:hi], lo, thr, need, last_seen)
+    assert (need, last_seen) == (0, last)
+    assert got.tobytes() == want.tobytes()
+    public = values.copy()
+    assert ties_trim(public, density) == (thr, last)
+    assert public.tobytes() == want.tobytes()
+
+
+# float32 bit patterns every dtype-valued pool holds: +-0.0, the smallest
+# and largest BF16 subnormals, and the smallest F32 subnormal
+SPECIAL_BITS = [0x0000_0000, 0x8000_0000, 0x0001_0000, 0x8001_0000, 0x007F_0000, 0x0000_0001]
+
+
+def dtype_values(gen, dtype, n, distinct):
+    """n finite values that *dtype* (F32 or BF16) stores exactly, drawn from
+    *distinct* of them, signed zeros and subnormals among them."""
+    bits = gen.integers(0, 2**32, distinct + len(SPECIAL_BITS), dtype=np.uint32)
+    bits[: len(SPECIAL_BITS)] = SPECIAL_BITS
+    # an exponent of all ones is inf or nan: clear its top bit
+    bits[(bits & 0x7F80_0000) == 0x7F80_0000] ^= 0x4000_0000
+    if dtype == "BF16":
+        bits &= 0xFFFF_0000
+    return gen.choice(bits.view(np.float32).astype(np.float64), n)
 
 
 class TestTiesTrim:
@@ -198,26 +261,219 @@ class TestTiesTrim:
         else:
             k = n - 1 if k == "n-1" else min(k, n - 1)
         assume(k < n)
-        density = (k - 0.5) / n
-        assert math.ceil(density * n) == k
-        want = v.copy()
-        selection = ties_trim_oracle(want, density)
-        # the engine's pieces: select on int64 bits in place, trim node by node
-        thr, need = merge_engine._select(v.copy(), k)
-        got, last = v.copy(), -1
+        assert_streams_like_oracle(v, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from(["F32", "BF16"]),
+        layout=st.sampled_from(["mixed", "equal", "zeros first", "large first"]),
+        n=st.sampled_from([1, 2, 9, 1000, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]),
+        distinct=st.sampled_from([1, 3, 40, 5000]),
+        k=st.sampled_from([1, "half", "n-1"]) | st.integers(1, 3 * _CHUNK + 5),
+        fill=st.integers(0, 2**32 - 1),
+    )
+    def test_streamed_selection_matches_whole_array_oracle(self, dtype, layout, n, distinct,
+                                                           k, fill):
+        # values the stored dtypes hold exactly, ties and all. "zeros first"
+        # and "large first" make a first node unlike the rest, so its pivots
+        # miss the k-th above or below it. Then with the candidate buffer
+        # one short of the first pass's candidates, just large enough and
+        # one larger, so the selection overflows into its histogram or not
+        gen = np.random.default_rng(fill)
+        v = dtype_values(gen, dtype, n, distinct)
+        first = min(n, _CHUNK)
+        if layout == "equal":
+            v = np.where(gen.random(n) < 0.5, -v[0], v[0])
+        elif layout == "zeros first":
+            v[:first] = gen.choice([0.0, -0.0], first)
+        elif layout == "large first":
+            v[:first] = gen.choice([-1.0, 1.0], first) * np.max(np.abs(v))
+        k = {"half": n // 2, "n-1": n - 1}.get(k, k)
+        k = min(k, n - 1)
+        assume(k >= 1)
+        assert_streams_like_oracle(v, k)
+        c = first_pass_candidates(v, k)
+        with pytest.MonkeyPatch.context() as mp:
+            for capacity in (c - 1, c, c + 1):
+                if capacity >= 1:
+                    mp.setattr(selection, "_CANDIDATES", capacity)
+                    assert_streams_like_oracle(v, k)
+
+    @pytest.mark.parametrize("path", ["above", "below", "open", "narrow", "bin", "edge"])
+    def test_each_refinement_path(self, monkeypatch, path):
+        # "above": a first node far smaller than the rest puts both pivots
+        # below the k-th; "below": one of a larger value puts them above it;
+        # "open": a first node of zeros leaves high open; "narrow": a buffer
+        # that fills after eight nodes of like values narrows the pivots
+        # and settles in the first pass; "bin": one too small to narrow
+        # overflows into the histogram; "edge": a first node of zeros, a
+        # node in [1, 2) that fills the buffer, then one far larger, puts
+        # the k-th in the histogram's top bin, past the bins fitted to the
+        # buffer, so the next pass bins the whole window
+        gen = np.random.default_rng(11)
+        n = 16 * _CHUNK if path == "narrow" else 2 * _CHUNK + 1
+        v = dtype_values(gen, "BF16", n, 5000)
+        (_, first), (_, second), _ = list(split(n))[:3]
+        k = n // 5
+        if path == "above":
+            v[:first] *= 2.0**-300
+        elif path == "below":
+            v[:first] = gen.choice([-1.0, 1.0], first) * 2.0**100
+            k = n - 1
+        elif path == "open":
+            v[:first] = 0.0
+        elif path == "narrow":
+            v = gen.standard_normal(n)
+            monkeypatch.setattr(selection, "_CANDIDATES", 8192)
+        elif path == "bin":
+            monkeypatch.setattr(selection, "_CANDIDATES", 64)
+        else:
+            v[:first] = 0.0
+            v[first:second] = 1.0 + gen.random(second - first)
+            v[second:] = (1.0 + gen.random(n - second)) * 2.0**40
+            k = 10
+        passes, narrowed = [], []
+        real_settle, real_narrow = selection.Selection.settle, selection.Selection._narrow
+
+        def settle(select):
+            before = select.low, select.high, select.hist is not None
+            result = real_settle(select)
+            passes.append((before, result, select.low, select.high, select.fit))
+            return result
+
+        def narrow(select):
+            narrowed.append(real_narrow(select))
+            return narrowed[-1]
+
+        monkeypatch.setattr(selection.Selection, "settle", settle)
+        monkeypatch.setattr(selection.Selection, "_narrow", narrow)
+        streamed_selection(v, k)
+        (_, high, binned), result, low_after, high_after, fit_after = passes[0]
+        if path == "above":
+            assert result is None and high_after == selection._ABOVE_ALL
+        elif path == "below":
+            assert result is None and low_after == -1
+        elif path == "open":
+            assert high == selection._ABOVE_ALL
+        elif path == "narrow":
+            assert True in narrowed and not binned and result is not None
+        elif path == "bin":
+            assert binned and True not in narrowed
+        else:
+            assert binned and result is None and not fit_after
+        assert passes[-1][1] is not None
+        assert_streams_like_oracle(v, k)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        dtype=st.sampled_from(["F32", "BF16"]),
+        distinct=st.sampled_from([40, 5000]),
+        capacity=st.sampled_from([1024, 4096, 8192]),
+        k=st.sampled_from([1, "n-1"]) | st.integers(1, 12 * _CHUNK - 1),
+        fill=st.integers(0, 2**32 - 1),
+    )
+    def test_narrowed_selection_matches_whole_array_oracle(self, dtype, distinct, capacity, k,
+                                                           fill):
+        # a buffer that fills after eight nodes, so the first pass may narrow
+        # its pivots, with ties at the new pivots among few distinct values
+        gen = np.random.default_rng(fill)
+        n = 12 * _CHUNK
+        v = dtype_values(gen, dtype, n, distinct)
+        k = n - 1 if k == "n-1" else k
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection, "_CANDIDATES", capacity)
+            assert_streams_like_oracle(v, k)
+
+    @pytest.mark.parametrize("layout", ["ties", "normal", "zeros first"])
+    @pytest.mark.parametrize("capacity", [64, 8192])
+    def test_counts_hold_after_every_node(self, monkeypatch, layout, capacity):
+        # after every node the selection's counts, buffer and histogram are
+        # those of the magnitudes its pass has seen: a miscount only costs
+        # passes, which the oracle tests would not see. A buffer of 8192
+        # fills after eight nodes and narrows, but after a first node of
+        # zeros, where it bins; one of 64 bins. "ties" draws from 2001
+        # integer magnitudes, so narrowed pivots land on ties
+        monkeypatch.setattr(selection, "_CANDIDATES", capacity)
+        gen = np.random.default_rng(capacity)
+        n = 12 * _CHUNK
+        if layout == "ties":
+            v = gen.integers(-2000, 2000, n).astype(np.float64)
+        else:
+            v = gen.standard_normal(n)
+        if layout == "zeros first":
+            v[:_CHUNK] = 0.0
+        select = selection.Selection(n, n // 5)
+        seen = []
+
+        def nodes():
+            seen.clear()
+            for lo, hi in split(n):
+                yield np.abs(v[lo:hi])
+
+        real_add = select.add
+
+        def add(mag):
+            seen.append(mag.copy())
+            real_add(mag)
+            mags = np.concatenate(seen)
+            low, high = (selection._magnitude(b) for b in (select.low, select.high))
+            assert select.above == np.count_nonzero(mags > high)
+            assert select.at_high == np.count_nonzero(mags == high)
+            if select.low == select.high:
+                return
+            assert select.at_low == np.count_nonzero(mags == low)
+            between = np.sort(mags[(mags > low) & (mags < high)])
+            assert select.count == between.size
+            if select.hist is None:
+                assert np.array_equal(np.sort(select.buf[: select.count]), between)
+            else:
+                bins = (between.view(np.int64) - select.origin) >> select.shift
+                bins = np.clip(bins, -1, select.hist.size - 2) + 1
+                assert np.array_equal(select.hist, np.bincount(bins, minlength=select.hist.size))
+
+        real_narrow = select._narrow
+        narrowed = []
+
+        def narrow():
+            narrowed.append(real_narrow())
+            return narrowed[-1]
+
+        select.add, select._narrow = add, narrow
+        for mag in nodes():
+            select.add(mag)
+        thr, need = select.finish(nodes)
+        assert (True in narrowed) == (capacity > 64 and layout != "zeros first")
+        assert (thr, need) == streamed_selection(v, n // 5)
+        assert_streams_like_oracle(v, n // 5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_of_unlike_scales_widen_the_first_pivots(self, seed):
+        # rows of 4096 values whose scales vary tenfold: sixteen rows of the
+        # first node are too few to place the k-th at random-draw margins,
+        # and its blocks show it, so the first pass's window still holds it
+        gen = np.random.default_rng(seed)
+        n = 16 * _CHUNK
+        v = (gen.standard_normal((n // 4096, 4096)) * gen.lognormal(0, 1, (n // 4096, 1)))
+        v = v.ravel()
+        select = selection.Selection(n, n // 5)
         for lo, hi in split(n):
-            need, last = merge_engine._trim_node(got[lo:hi], lo, thr, need, last)
-        assert (need, (thr, last)) == (0, selection)
-        assert got.tobytes() == want.tobytes()
-        public = v.copy()
-        assert ties_trim(public, density) == selection
-        assert public.tobytes() == want.tobytes()
+            select.add(np.abs(v[lo:hi]))
+        low, high = select.low, select.high
+        thr, _ = select.finish(lambda: (np.abs(v[lo:hi]) for lo, hi in split(n)))
+        assert low <= int(np.float64(thr).view(np.int64)) <= high
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_values_raise(self, bad):
+        # NaN fails every compare, so no count could reach k
+        v = np.array([bad, bad, 1.0])
+        with pytest.raises(ValidationError, match="finite"):
+            ties_trim(v, 0.5)
 
     def test_peak_is_the_magnitudes_and_no_mask(self):
-        # |v| is the one full-size allocation; counting the kept magnitudes
-        # above thr must not add a mask of k elements beside it
+        # the selection holds node-sized magnitudes and its candidates, and
+        # nothing the size of the array: no copy of |v|, no mask of k
         v = np.random.default_rng(8).standard_normal(1 << 21)
-        assert traced_peak(lambda: ties_trim(v, 0.9)) <= v.nbytes + SCRATCH
+        assert traced_peak(lambda: ties_trim(v, 0.9)) <= 2 * SCRATCH
 
 
 class TestDare:
@@ -440,28 +696,27 @@ def peak_family(tmp_path_factory):
 def assert_ties_peak_at_eight_tasks(tmp_path, method):
     """The traced peak of a T = 8 F32 TIES merge whose largest tensor holds
     2**20 elements lies in the documented two-sided range."""
-    n, tasks = 1 << 20, 8
-    specs, base_p = ties_family(tmp_path, {"emb": (1024, 1024), "w": (256, 64)}, tasks, "F32")
+    specs, base_p = ties_family(tmp_path, {"emb": (1024, 1024), "w": (256, 64)}, 8, "F32")
     recipe = MergeRecipe(
         base=base_p, tasks=specs, output=str(tmp_path / "out.st"),
         method=method, transform="ties", ties_density=0.2,
     )
     peak = traced_peak(lambda: run_recipe(recipe))
-    low, high = merge_peak_range("ties", n)
+    low, high = merge_peak_range("ties")
     assert low <= peak <= high
 
 
 class TestTiesWalk:
     def test_trim_selects_once_per_task_and_tensor(self, tmp_path, monkeypatch):
-        # one partition per (task, tensor), in the walk that takes norms;
+        # one selection per (task, tensor), in the walk that takes norms;
         # combining replays the selections, and the engine never calls the
         # public ties_trim
         calls, in_combine = [], []
-        real_select, real_combine = merge_engine._select, merge_engine._ties_combine
+        real_finish, real_combine = selection.Selection.finish, merge_engine._ties_combine
 
-        def counting_select(values, k):
-            calls.append(values.size)
-            return real_select(values, k)
+        def counting_finish(select, again):
+            calls.append(select.n)
+            return real_finish(select, again)
 
         def watched_combine(*args):
             before = len(calls)
@@ -471,7 +726,7 @@ class TestTiesWalk:
         def no_trim(values, density):
             raise AssertionError("the engine called ties_trim")
 
-        monkeypatch.setattr(merge_engine, "_select", counting_select)
+        monkeypatch.setattr(selection.Selection, "finish", counting_finish)
         monkeypatch.setattr(merge_engine, "_ties_combine", watched_combine)
         monkeypatch.setattr(merge_engine, "ties_trim", no_trim)
         shapes = {"a": (40, 30), "b": (CHUNK + 9,), "c": (7,)}
@@ -493,15 +748,41 @@ class TestTiesWalk:
                 np.testing.assert_allclose(read_tensor(handle, name).values, expect[name],
                                            atol=1e-6)
 
+    def test_peak_holds_when_candidates_are_dense(self, tmp_path, monkeypatch):
+        # a first node of zero diffs leaves the window open above zero, so
+        # every later magnitude is a candidate: gathering whole nodes of
+        # them into the buffer, then binning them, stays inside the fixed
+        # figure at 2**22 elements
+        rng = np.random.default_rng(29)
+        shape = (4096, 1024)
+        base = {"emb": rng.standard_normal(shape)}
+        tvs = [{"emb": 0.1 * rng.standard_normal(shape)} for _ in range(2)]
+        for tv in tvs:
+            tv["emb"].reshape(-1)[:_CHUNK] = 0.0
+        base_p, model_ps = family(tmp_path, base, tvs, dtype="BF16")
+        recipe = MergeRecipe(base=base_p, tasks=[TaskSpec(f"t{i}", p) for i, p in
+                                                 enumerate(model_ps)],
+                             output=str(tmp_path / "out.st"), transform="ties",
+                             ties_density=0.2)
+        gathered, real_gather = [], selection._gather
+
+        def gather(mask, values, out):
+            gathered.append(out.size)
+            real_gather(mask, values, out)
+
+        monkeypatch.setattr(selection, "_gather", gather)
+        peak = traced_peak(lambda: run_recipe(recipe))
+        assert max(gathered) > CHUNK
+        assert peak <= merge_peak_range("ties")[1]
+
     def test_traced_peak_of_combining_holds_no_payload(self, tmp_path):
-        # T = 8 F32: combining reads each task's blocks by range, so the
-        # eight raw reads of half a buffer each that it once held are gone
-        # and the norms walk's diff buffer sets the peak
+        # T = 8 F32: combining reads each task's blocks by range and holds
+        # no raw read, so the peak stays the fixed figure
         assert_ties_peak_at_eight_tasks(tmp_path, "metagpt")
 
     def test_traced_peak_of_a_one_walk_merge_past_four_tasks(self, tmp_path):
-        # a norm-free method walks once and combines beside the diff
-        # buffer, in blocks that shrink past four tasks, so its peak is the
+        # a norm-free method walks once, selecting and combining tensor by
+        # tensor, in blocks that shrink past four tasks, so its peak is the
         # same fixed figure
         assert_ties_peak_at_eight_tasks(tmp_path, "task_arithmetic_fixed")
 
@@ -934,25 +1215,48 @@ class TestRunRecipe:
         if method == "given":
             given = CoefficientSet([t.id for t in specs], [1 / tasks] * tasks, "external")
         peak = traced_peak(lambda: run_recipe(recipe, given))
-        low, high = merge_peak_range(transform, 1 << 20)
+        low, high = merge_peak_range(transform)
         assert low <= peak <= high
 
-    @pytest.mark.parametrize("transform", ["none", "dare", "ties"])
-    def test_node_walk_peak_does_not_grow_with_the_tensor(self, tmp_path, transform):
-        # node by node, a tensor four times larger adds nothing to the peak
-        # but, with TIES, the size of the diff buffer it partitions
-        beside = []
+    @pytest.mark.parametrize("transform,tasks", [
+        pytest.param("none", 2, id="none"),
+        pytest.param("dare", 2, id="dare"),
+        pytest.param("ties", 2, id="ties"),
+        pytest.param("ties", 4, id="ties-4"),
+        pytest.param("ties", 8, id="ties-8"),
+    ])
+    def test_node_walk_peak_does_not_grow_with_the_tensor(self, tmp_path, transform, tasks):
+        # node by node, a tensor four times larger adds nothing to the peak,
+        # at 2**20 and 2**22 elements; with TIES at any number of tasks, as
+        # no buffer the size of a tensor is left
+        peaks = []
         for rows in (1024, 4096):
             root = tmp_path / str(rows)
             root.mkdir()
-            specs, base_p = ties_family(root, {"emb": (rows, 1024), "w": (256, 64)}, 2, "BF16")
+            specs, base_p = ties_family(root, {"emb": (rows, 1024), "w": (256, 64)}, tasks,
+                                        "BF16")
             recipe = MergeRecipe(base=base_p, tasks=specs, output=str(root / "out.st"),
                                  transform=transform, ties_density=0.2, dare_p=0.9)
             peak = traced_peak(lambda: run_recipe(recipe))
-            low, high = merge_peak_range(transform, rows * 1024)
+            low, high = merge_peak_range(transform)
             assert low <= peak <= high
-            beside.append(peak - (8 * rows * 1024 if transform == "ties" else 0))
-        assert abs(beside[1] - beside[0]) <= 64 << 10
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) <= 64 << 10
+
+    @pytest.mark.parametrize("transform", ["none", "dare", "ties"])
+    def test_second_large_tensor_adds_nothing_to_the_peak(self, tmp_path, transform):
+        # the walk's node arrays are made once, so a tensor's arrays are not
+        # still held while the next tensor's nodes are read
+        peaks = []
+        for i, second in enumerate([(256, 64), (1024, 1024)]):
+            root = tmp_path / str(i)
+            root.mkdir()
+            shapes = {"a": (1024, 1024), "b": second}
+            specs, base_p = ties_family(root, shapes, 2, "BF16")
+            recipe = MergeRecipe(base=base_p, tasks=specs, output=str(root / "out.st"),
+                                 transform=transform, ties_density=0.2, dare_p=0.9)
+            peaks.append(traced_peak(lambda: run_recipe(recipe)))
+        assert abs(peaks[1] - peaks[0]) <= 64 << 10
 
     def test_mid_merge_failure_leaves_no_output(self, tmp_path):
         # tensor "zz" overflows F16 on write, after "aa" was already written

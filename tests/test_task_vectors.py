@@ -114,15 +114,18 @@ class TestComputeStats:
         assert results[1].sq_norms == results[0].sq_norms
 
     @staticmethod
-    def peaks(tmp_path, tasks, want_gram):
-        """Traced peaks of compute_stats on BF16 families whose largest
-        tensor holds 2**20 and 2**22 elements."""
+    def peaks(tmp_path, tasks, want_gram, families=None):
+        """Traced peaks of compute_stats on BF16 families of the given
+        {name: shape} tensors; by default one whose largest tensor holds
+        2**20 elements and one whose largest holds 2**22."""
         rng = np.random.default_rng(9)
         peaks = []
-        for rows in (1024, 4096):
-            base = {"emb": rng.standard_normal((rows, 1024)), "w": rng.standard_normal(300)}
-            paths = [write_ckpt(tmp_path / f"b{rows}.st", base, dtype="BF16")]
-            paths += [write_ckpt(tmp_path / f"m{rows}-{t}.st",
+        if families is None:
+            families = [{"emb": (rows, 1024), "w": (300,)} for rows in (1024, 4096)]
+        for i, shapes in enumerate(families):
+            base = {n: rng.standard_normal(s) for n, s in shapes.items()}
+            paths = [write_ckpt(tmp_path / f"b{i}.st", base, dtype="BF16")]
+            paths += [write_ckpt(tmp_path / f"m{i}-{t}.st",
                                  {n: v + 0.1 * (t + 1) for n, v in base.items()}, dtype="BF16")
                       for t in range(tasks)]
             handles = [open_checkpoint(p) for p in paths]
@@ -142,6 +145,16 @@ class TestComputeStats:
     def test_gram_peak_is_fixed_plus_a_node_row_per_task(self, tmp_path, tasks):
         peaks = self.peaks(tmp_path, tasks, True)
         low, high = stats_peak_range(tasks, True)
+        assert low <= min(peaks) and max(peaks) <= high
+        assert abs(peaks[1] - peaks[0]) <= 64 << 10
+
+    @pytest.mark.parametrize("want_gram", [False, True], ids=["norms", "gram"])
+    def test_second_large_tensor_adds_nothing_to_the_peak(self, tmp_path, want_gram):
+        # the node arrays are made once per call, so a tensor's arrays are
+        # not still held while the next tensor's nodes are read
+        families = [{"a": (1024, 1024), "b": second} for second in ((300,), (1024, 1024))]
+        peaks = self.peaks(tmp_path, 2, want_gram, families)
+        low, high = stats_peak_range(2, want_gram)
         assert low <= min(peaks) and max(peaks) <= high
         assert abs(peaks[1] - peaks[0]) <= 64 << 10
 
