@@ -58,7 +58,7 @@ from .coefficients import COEFFICIENT_METHODS, NORM_FREE_METHODS, NORM_METHODS, 
 from .errors import RecipeError, ValidationError
 from .rng import CHUNK, drop_threshold, stream_seed, uniform_stream
 from .selection import Selection
-from .task_vectors import StatsAccumulator, node_arrays, node_diffs, split
+from .task_vectors import StatsAccumulator, node_arrays, read_diff, split
 from .tensor_store import (
     _CHUNK,
     CheckpointHandle,
@@ -367,19 +367,22 @@ def _walk(
         nodes = node_arrays(base, 2 if writer is None else 3)
     for name in sorted(base.index):
         meta = base.index[name]
+        holders = [t for t, model in enumerate(reader.handles[1:]) if name in model.index]
         if ties:
-            holders = [t for t, model in enumerate(reader.handles[1:]) if name in model.index]
             if raw is not None:
                 _ties_norms(reader, name, holders, recipe.ties_density, selections,
                             raw, transformed)
             if writer is not None:
                 _ties_combine(reader, name, holders, lambdas, selections, writer)
             continue
-        for lo, base_node, diffs in node_diffs(reader, name, nodes):
+        for lo, hi in split(meta.num_elements):
+            base_node = nodes[0, : hi - lo]
+            reader.decode(0, name, lo, hi, base_node)
             if writer is not None:
-                node_sum = nodes[2, : base_node.size]
+                node_sum = nodes[2, : hi - lo]
                 np.copyto(node_sum, base_node)
-            for t, v in diffs:
+            for t in holders:
+                v = read_diff(reader, t, name, lo, base_node, nodes[1, : hi - lo])
                 if raw is not None:
                     raw.add_node(t, v)
                 if recipe.transform == "dare":
@@ -427,7 +430,7 @@ def _ties_norms(
         for lo, hi in split(n):
             b = base_node[: hi - lo]
             reader.decode(0, name, lo, hi, b)
-            v = _replay(reader, t, name, lo, b, None, node[: hi - lo])
+            v = read_diff(reader, t, name, lo, b, node[: hi - lo])
             yield np.abs(v, out=v)
 
     for i in range(len(holders) + 1 if holders else 0):
@@ -437,12 +440,12 @@ def _ties_norms(
             b = base_node[: hi - lo]
             reader.decode(0, name, lo, hi, b)
             if i:
-                v = _replay(reader, holders[i - 1], name, lo, b, None, node[: hi - lo])
+                v = read_diff(reader, holders[i - 1], name, lo, b, node[: hi - lo])
                 if select is not None:
                     need, last = _trim_node(v, lo, thr, need, last)
                 transformed.add_node(holders[i - 1], v)
             if i < len(holders):
-                v = _replay(reader, holders[i], name, lo, b, None, node[: hi - lo])
+                v = read_diff(reader, holders[i], name, lo, b, node[: hi - lo])
                 raw.add_node(holders[i], v)
                 if select is not None:
                     select.add(np.abs(v, out=v))
@@ -478,31 +481,15 @@ def _ties_combine(
         hi = min(lo + step, n)
         out = base_block[: hi - lo]
         reader.decode(0, name, lo, hi, out)
-        held = [(lambdas[t], _replay(reader, t, name, lo, out, selections[t, name],
-                                     block[: hi - lo]))
-                for t, block in zip(holders, blocks)]
+        held = []
+        for t, block in zip(holders, blocks):
+            v = read_diff(reader, t, name, lo, out, block[: hi - lo])
+            if selections[t, name] is not None:
+                thr, last = selections[t, name]
+                _trim_node(v, 0, thr, 0, last - lo)
+            held.append((lambdas[t], v))
         _elect(out, held)
         writer.append(name, meta.shape, out)
-
-
-def _replay(
-    reader: RangeReader,
-    t: int,
-    name: str,
-    lo: int,
-    base_block: np.ndarray,
-    selection: tuple[float, int] | None,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Task t's diff over elements ``lo ..`` of *base_block*'s size, read by
-    range and decoded into *out*, less the base, and trimmed as *selection*
-    says; returns *out*."""
-    reader.decode(t + 1, name, lo, lo + out.size, out)
-    out -= base_block
-    if selection is not None:
-        thr, last = selection
-        _trim_node(out, 0, thr, 0, last - lo)
-    return out
 
 
 def _elect(out: np.ndarray, held: list[tuple[float, np.ndarray]]) -> None:

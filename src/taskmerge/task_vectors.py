@@ -3,7 +3,7 @@
 The merge coefficients downstream need only the squared norms of the task
 vectors, and those are accumulated tensor-by-tensor in 64-bit reals, so whole
 checkpoints never have to be resident. The pairwise Gram matrix (for the
-cosine-similarity diagnostic) is opt-in: it copies each node of every task's
+cosine-similarity diagnostic) is opt-in: it decodes each node of every task's
 diff into a row of its own, so the walk holds one node per task.
 
 Reduction order is fixed: numpy's deterministic pairwise reduction within a
@@ -12,9 +12,9 @@ over the same files give bit-identical results. ``split`` cuts a tensor into
 the nodes of numpy's pairwise tree and ``fold`` adds their sums back up the
 same tree, so a sum taken node by node is still exactly ``np.sum(a * b)``.
 Products are made one leaf (``_LEAF`` elements at most) at a time, and
-``node_diffs`` walks a tensor one node (the codec's ``_CHUNK``) at a time,
-reading the node by range from the base and from every model, so neither
-makes a full-size temporary.
+every walk reads a tensor one node (the codec's ``_CHUNK``) at a time:
+``read_diff`` decodes a model's range of the node and subtracts the base's,
+so nothing makes a full-size temporary.
 """
 
 from __future__ import annotations
@@ -121,35 +121,15 @@ def node_arrays(base: CheckpointHandle, rows: int) -> np.ndarray:
     return np.empty((rows, min(largest, _CHUNK)))
 
 
-def node_diffs(
-    reader: RangeReader, name: str, nodes: np.ndarray
-) -> Iterator[tuple[int, np.ndarray, Iterator[tuple[int, np.ndarray]]]]:
-    """Walk tensor *name* node by node: yield (lo, base node, diffs) for
-    each node ``[lo, hi)`` of ``split(n)``, where diffs yields (t,
-    model_t[name][lo:hi] - base[lo:hi]) for each model that holds *name*.
-
-    Input 0 of *reader* is the base and input t + 1 is model t. Each node is
-    read by range from every input and decoded into one of the first two
-    rows of *nodes* (see ``node_arrays``), the base's and the diffs', so the
-    caller must be done with a diff before asking for the next one; no
-    tensor-sized array is made.
-    """
-    base, models = reader.handles[0], reader.handles[1:]
-    holders = [t for t, model in enumerate(models) if name in model.index]
-    n = base.index[name].num_elements
-    base_node, diff = nodes[0], nodes[1]
-
-    def diffs(lo, b):
-        for t in holders:
-            v = diff[: b.size]
-            reader.decode(t + 1, name, lo, lo + b.size, v)
-            v -= b
-            yield t, v
-
-    for lo, hi in split(n):
-        b = base_node[: hi - lo]
-        reader.decode(0, name, lo, hi, b)
-        yield lo, b, diffs(lo, b)
+def read_diff(
+    reader: RangeReader, t: int, name: str, lo: int, base_node: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Task t's diff of tensor *name* over elements ``lo ..`` of *out*'s
+    size: input t + 1 of *reader* (input 0 is the base) decoded into *out*,
+    less *base_node*, the base's values there. Returns *out*."""
+    reader.decode(t + 1, name, lo, lo + out.size, out)
+    out -= base_node
+    return out
 
 
 class StatsAccumulator:
@@ -239,9 +219,9 @@ def compute_stats(
     ``missing_names``). Shape mismatches on common names are always fatal.
     The walk is node-major, as a merge's: each node is read by range from
     every input, so memory does not grow with any tensor, and an input at
-    fault is met in (node, task) order. The Gram pairs copy each task's
-    node into a row of its own, one row per task. All node arrays are
-    allocated once per call.
+    fault is met in (node, task) order. For the Gram pairs each task's node
+    is decoded into a row of its own. All node arrays are allocated once
+    per call.
     """
     if not models:
         raise ValidationError("need at least one model")
@@ -254,21 +234,24 @@ def compute_stats(
     report.require(strict)
 
     acc = StatsAccumulator(task_ids, want_gram)
-    # the base's node and the diffs', then a row per task for the Gram pairs
-    nodes = node_arrays(base, 2 + (len(models) if want_gram else 0))
+    # the base's node, then one row for the diffs, or one per task for the
+    # Gram pairs
+    nodes = node_arrays(base, 1 + (len(models) if want_gram else 1))
     with RangeReader([base, *models]) as reader:
         for name in sorted(base.index):
-            for _, _, diffs in node_diffs(reader, name, nodes):
+            holders = [t for t, model in enumerate(models) if name in model.index]
+            n = base.index[name].num_elements
+            for lo, hi in split(n):
+                b = nodes[0, : hi - lo]
+                reader.decode(0, name, lo, hi, b)
                 held = []
-                for t, v in diffs:
-                    acc.add_node(t, v)
-                    if want_gram:
-                        # node_diffs reuses its diff array for the next task
-                        row = nodes[2 + t, : v.size]
-                        np.copyto(row, v)
-                        held.append((t, row))
-                acc.add_pairs(held)
-            acc.fold_nodes(base.index[name].num_elements)
+                for t in holders:
+                    row = nodes[1 + t if want_gram else 1, : hi - lo]
+                    acc.add_node(t, read_diff(reader, t, name, lo, b, row))
+                    held.append((t, row))
+                if want_gram:
+                    acc.add_pairs(held)
+            acc.fold_nodes(n)
     stats = acc.finalize()
     stats.missing_names = report.missing_from(base, models, task_ids) or None
     return stats

@@ -12,11 +12,11 @@ Non-finite values are rejected on both read and write: a silent NaN in a
 checkpoint corrupts every model merged from it.
 
 The codec works through a tensor in chunks of ``_CHUNK`` elements.
-``read_payload`` reads the stored bytes of any element range of a tensor,
-undecoded, and ``Payload.decode`` widens them into a float64 array the
-caller gives. A ``RangeReader`` holds a walk's inputs open and reads every
-range a chunk at a time into one reused byte buffer: a whole tensor for
-``read_tensor``, one node of a reduction for a streaming walk. Encoding
+``read_payload`` reads the stored bits of any element range of a tensor,
+undecoded. A ``RangeReader`` holds a walk's inputs open, and its ``decode``
+reads any range a chunk at a time into one reused byte buffer, checks each
+chunk and widens it into a float64 array the caller gives: a whole tensor
+for ``read_tensor``, one node of a reduction for a streaming walk. Encoding
 narrows each piece into one result of the storage dtype, which the writer
 appends without a copy: ``CheckpointWriter.append`` takes a tensor in any
 number of pieces, ``write`` takes it whole.
@@ -125,41 +125,6 @@ def _any_nonfinite(bits: np.ndarray, exponent: int, scratch: np.ndarray) -> bool
     return np.bitwise_and(bits, exponent, out=scratch[: bits.size]).max() == exponent
 
 
-@dataclass
-class Payload:
-    """The stored bytes of one element range of a tensor, as unsigned
-    integers of the storage width; ``decode`` widens any range of them."""
-
-    path: str
-    name: str
-    dtype: str
-    bits: np.ndarray
-
-    def decode(self, lo: int, hi: int, out: np.ndarray) -> None:
-        """Widen stored values ``lo .. hi-1`` into the flat float64 *out* of
-        ``hi - lo`` values, one chunk at a time, after checking each chunk's
-        bits for inf and NaN."""
-        storage, unsigned, exponent = _LAYOUT[self.dtype]
-        bits, stored = self.bits[lo:hi], self.bits[lo:hi].view(storage)
-        # BF16 widens through uint32 scratch, whose first half also serves
-        # as the check's mask
-        if self.dtype == "BF16":
-            wide = np.empty(min(bits.size, _CHUNK), dtype=np.uint32)
-            mask = wide.view(unsigned)
-        else:
-            wide, mask = None, np.empty(min(bits.size, _CHUNK), dtype=unsigned)
-        for start in range(0, bits.size, _CHUNK):
-            stop = min(start + _CHUNK, bits.size)
-            if _any_nonfinite(bits[start:stop], exponent, mask):
-                raise ValidationError(f"{self.path}: non-finite value in '{self.name}'")
-            if wide is None:
-                out[start:stop] = stored[start:stop]
-            else:
-                w = wide[: stop - start]
-                np.left_shift(bits[start:stop], 16, out=w, dtype=np.uint32)
-                out[start:stop] = w.view(np.float32)
-
-
 def _encode(values: np.ndarray, dtype: str, name: str) -> np.ndarray:
     """Narrow float64 *values* to a new array of the storage dtype, one chunk
     at a time. BF16 rounds the float32 value to nearest even."""
@@ -199,7 +164,8 @@ def _parse_header(raw: bytes, path: str) -> tuple[dict[str, TensorMeta], dict | 
 
     try:
         header = json.loads(raw.decode("utf-8"), object_pairs_hook=reject_duplicates)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    # deep nesting overflows the decoder's recursion
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise FormatError(f"{path}: malformed header ({e})") from e
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
@@ -218,16 +184,15 @@ def _parse_header(raw: bytes, path: str) -> tuple[dict[str, TensorMeta], dict | 
         dtype = entry.get("dtype")
         if dtype not in DTYPE_SIZES:
             raise FormatError(f"{path}: unsupported dtype '{dtype}' for '{name}'")
+        # bool is an int subclass, but true/false is never a size or offset
         shape = entry.get("shape")
-        if not isinstance(shape, list) or not all(
-            isinstance(d, int) and d >= 0 for d in shape
-        ):
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
             raise FormatError(f"{path}: bad shape for '{name}'")
         offsets = entry.get("data_offsets")
         if (
             not isinstance(offsets, list)
             or len(offsets) != 2
-            or not all(isinstance(o, int) and o >= 0 for o in offsets)
+            or not all(type(o) is int and o >= 0 for o in offsets)
             or offsets[1] < offsets[0]
         ):
             raise FormatError(f"{path}: bad data_offsets for '{name}'")
@@ -280,11 +245,11 @@ def open_checkpoint(path: str) -> CheckpointHandle:
 
 def read_payload(
     handle: CheckpointHandle, name: str, lo: int, hi: int, file: BinaryIO, raw: bytearray
-) -> Payload:
+) -> np.ndarray:
     """Read stored elements ``lo .. hi-1`` of one tensor, undecoded, from
-    *file*, open on the handle's path, into the head of *raw*. The payload
-    is a view of *raw*, valid until the next read into it; the bytes count
-    in ``handle.bytes_read``."""
+    *file*, open on the handle's path, into the head of *raw*. Returns them
+    as unsigned integers of the storage width, a view of *raw* valid until
+    the next read into it; the bytes count in ``handle.bytes_read``."""
     meta = handle.index.get(name)
     if meta is None:
         raise ValidationError(f"{handle.path}: no tensor named '{name}'")
@@ -294,22 +259,21 @@ def read_payload(
     if file.readinto(buf) != (hi - lo) * width:
         raise FormatError(f"{handle.path}: truncated payload for '{name}'")
     handle.bytes_read += buf.nbytes
-    bits = np.frombuffer(buf, dtype=_LAYOUT[meta.dtype][1])
-    return Payload(handle.path, name, meta.dtype, bits)
+    return np.frombuffer(buf, dtype=_LAYOUT[meta.dtype][1])
 
 
 class RangeReader:
     """Checkpoints held open for one walk and read by element range.
 
-    ``decode`` reads and widens a range one chunk of at most *largest* and
-    ``_CHUNK`` elements at a time, every chunk into one reused byte buffer,
-    so no stored copy of a whole tensor is made. Use it as a context
-    manager: leaving it closes every file, on success and on error.
+    ``decode`` reads, checks and widens a range one chunk at a time, every
+    chunk into one reused byte buffer of at most ``_CHUNK`` elements of the
+    widest dtype, and no more than the largest tensor the inputs hold, so no
+    stored copy of a whole tensor is made. Use it as a context manager:
+    leaving it closes every file, on success and on error.
     """
 
-    def __init__(self, handles: list[CheckpointHandle], largest: int = _CHUNK):
+    def __init__(self, handles: list[CheckpointHandle]):
         self.handles = handles
-        self._step = max(1, min(largest, _CHUNK))
         self._files: list[BinaryIO] = []
         try:
             for handle in handles:
@@ -317,17 +281,35 @@ class RangeReader:
         except BaseException:
             self.close()
             raise
-        # sized for the widest dtype these inputs store, not every dtype
-        width = max((DTYPE_SIZES[m.dtype] for h in handles for m in h.index.values()), default=1)
+        metas = [m for h in handles for m in h.index.values()]
+        self._step = max(1, min(max((m.num_elements for m in metas), default=1), _CHUNK))
+        width = max((DTYPE_SIZES[m.dtype] for m in metas), default=1)
         self._raw = bytearray(self._step * width)
 
     def decode(self, i: int, name: str, lo: int, hi: int, out: np.ndarray) -> None:
-        """Widen stored elements ``lo .. hi-1`` of tensor *name* of input *i*
-        into the flat float64 *out* of ``hi - lo`` values."""
+        """Widen stored elements ``lo .. hi-1`` of tensor *name*, which input
+        *i* holds, into the flat float64 *out* of ``hi - lo`` values, one
+        chunk at a time, after checking each chunk's bits for inf and NaN."""
+        handle = self.handles[i]
+        dtype = handle.index[name].dtype
+        storage, unsigned, exponent = _LAYOUT[dtype]
+        # BF16 widens through uint32 scratch, whose first half also serves
+        # as the check's mask
+        m = min(hi - lo, self._step)
+        wide = np.empty(m, dtype=np.uint32) if dtype == "BF16" else None
+        mask = np.empty(m, dtype=unsigned) if wide is None else wide.view(unsigned)
         for start in range(lo, hi, self._step):
             stop = min(start + self._step, hi)
-            payload = read_payload(self.handles[i], name, start, stop, self._files[i], self._raw)
-            payload.decode(0, stop - start, out[start - lo : stop - lo])
+            bits = read_payload(handle, name, start, stop, self._files[i], self._raw)
+            if _any_nonfinite(bits, exponent, mask):
+                raise ValidationError(f"{handle.path}: non-finite value in '{name}'")
+            piece = out[start - lo : stop - lo]
+            if wide is None:
+                piece[...] = bits.view(storage)
+            else:
+                w = wide[: stop - start]
+                np.left_shift(bits, 16, out=w, dtype=np.uint32)
+                piece[...] = w.view(np.float32)
 
     def close(self) -> None:
         for f in self._files:
@@ -350,7 +332,7 @@ def read_tensor(handle: CheckpointHandle, name: str) -> TensorBuffer:
         raise ValidationError(f"{handle.path}: no tensor named '{name}'")
     n = meta.num_elements
     values = np.empty(n)
-    with RangeReader([handle], n) as reader:
+    with RangeReader([handle]) as reader:
         reader.decode(0, name, 0, n, values)
     return TensorBuffer(name=name, shape=meta.shape, values=values)
 

@@ -16,8 +16,9 @@ SCRATCH = 1 << 20
 # bytes, and the scratch of the codec, the reduction and the draws. Taken
 # from the measured peaks, 2.18-2.29 MiB for plain and DARE merges and
 # 1.42-1.53 MiB for compute_stats without the Gram matrix, at 2**20 and
-# 2**22 elements alike. The Gram matrix adds one float64 row of a node per
-# task. A TIES merge selects in passes over the nodes, with one fixed
+# 2**22 elements alike. The Gram matrix decodes each task's diff into a
+# float64 row of a node of its own, one row more per task past the first.
+# A TIES merge selects in passes over the nodes, with one fixed
 # buffer of candidate magnitudes beside its two node arrays (2.06-2.24 MiB
 # measured, BF16 and F32, one to eight tasks, 2**20 and 2**22 elements). A
 # peak more than NODE_PEAK_SLACK below its figure fails too, so the figure
@@ -60,8 +61,8 @@ def stats_peak_range(tasks: int, want_gram: bool) -> tuple[int, int]:
     """The documented traced peak of ``compute_stats`` over *tasks* models,
     as the (lowest, highest) bytes a measurement may show. The walk goes
     node by node, so the peak is a fixed figure, whatever the tensors' size;
-    the Gram pairs add one float64 row of a node per task."""
-    figure = NODE_STATS_PEAK + (tasks * 8 * _CHUNK if want_gram else 0)
+    the Gram pairs add one float64 row of a node per task past the first."""
+    figure = NODE_STATS_PEAK + ((tasks - 1) * 8 * _CHUNK if want_gram else 0)
     return figure - NODE_PEAK_SLACK, figure
 
 

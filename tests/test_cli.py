@@ -3,13 +3,17 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from taskmerge import FormatError, MergeRecipe, ValidationError, cli, merge_engine
-from taskmerge import compute_stats, open_checkpoint, run_recipe, selection, tensor_store
+from taskmerge import FormatError, MergeRecipe, TaskSpec, ValidationError, cli, merge_engine
+from taskmerge import compute_stats, open_checkpoint, read_tensor, run_recipe, selection
+from taskmerge import tensor_store
 from taskmerge.task_vectors import split
 from taskmerge.tensor_store import _CHUNK, DTYPE_SIZES
 
@@ -55,6 +59,14 @@ class TestInspect:
         code, _, err = run_cli(capsys, "inspect", str(bad))
         assert code == 2
         assert "truncated" in err
+
+    def test_deeply_nested_header_exits_2(self, capsys, tmp_path):
+        encoded = b"[" * 200_000
+        bad = tmp_path / "bad.st"
+        bad.write_bytes(len(encoded).to_bytes(8, "little") + encoded)
+        code, _, err = run_cli(capsys, "inspect", str(bad))
+        assert code == 2
+        assert "malformed header" in err
 
     def test_empty_path_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "inspect", "")
@@ -520,6 +532,65 @@ class TestLastNodeFaults:
         self.assert_stats_fails_cleanly(capsys, tmp_path, monkeypatch, via, gram,
                                         ValidationError,
                                         f"{tmp_path / 'm1.st'}: non-finite value in 'z'")
+
+
+class TestCorruptedContainer:
+    """Any truncation of a small valid container, and any single bit flip in
+    its header or payload, leaves every layer that reads it either working
+    or failing with FormatError or ValidationError, and a failed merge
+    leaves no output and no temp file."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dtype=st.sampled_from(["F32", "F16", "BF16"]),
+        victim=st.sampled_from(["base.st", "m.st"]),
+        damage=st.sampled_from(["cut", "header", "payload"]),
+        at=st.integers(0, 2**16),
+    )
+    # the top exponent bit of the model's first value: a NaN that a
+    # one-walk merge meets while it writes
+    @example(dtype="BF16", victim="m.st", damage="payload", at=14)
+    def test_any_cut_or_bit_flip_fails_cleanly(self, dtype, victim, damage, at):
+        # values in [1, 2), whose highest exponent bit is the one not set,
+        # so one payload flip in 16 or 32 makes an inf or a NaN
+        rng = np.random.default_rng(17)
+        base = {"a": 1 + rng.random((3, 4)), "b": 1 + rng.random(5)}
+        with tempfile.TemporaryDirectory() as d:
+            paths = [write_ckpt(Path(d) / "base.st", base, dtype=dtype),
+                     write_ckpt(Path(d) / "m.st", {n: v / 2 + 0.75 for n, v in base.items()},
+                                dtype=dtype)]
+            raw = bytearray((Path(d) / victim).read_bytes())
+            data_start = 8 + int.from_bytes(raw[:8], "little")
+            if damage == "cut":
+                raw = raw[: at % len(raw)]
+            else:
+                lo, hi = (0, data_start) if damage == "header" else (data_start, len(raw))
+                bit = 8 * lo + at % (8 * (hi - lo))
+                raw[bit // 8] ^= 1 << bit % 8
+            (Path(d) / victim).write_bytes(raw)
+
+            def clean(step):
+                try:
+                    return step()
+                except (FormatError, ValidationError):
+                    return None
+
+            handle = clean(lambda: open_checkpoint(str(Path(d) / victim)))
+            for name in handle.index if handle is not None else ():
+                clean(lambda: read_tensor(handle, name))
+            for gram in (False, True):
+                clean(lambda: compute_stats(open_checkpoint(paths[0]),
+                                            [open_checkpoint(paths[1])], want_gram=gram))
+            # the closed form meets a fault before it writes; the others
+            # walk once, writing
+            for method in ("metagpt", "task_arithmetic_fixed"):
+                for transform in ("none", "ties", "dare"):
+                    out = Path(d) / f"{method}-{transform}.st"
+                    recipe = MergeRecipe(base=paths[0], tasks=[TaskSpec("t", paths[1])],
+                                         output=str(out), method=method, transform=transform)
+                    merged = clean(lambda: run_recipe(recipe))
+                    assert out.exists() == (merged is not None)
+            assert not list(Path(d).glob("*.partial"))
 
 
 class TestVerify:

@@ -151,6 +151,27 @@ class TestOpen:
         with pytest.raises(FormatError, match="malformed"):
             open_checkpoint(str(p))
 
+    def test_deeply_nested_header(self, tmp_path):
+        encoded = b"[" * 200_000
+        p = tmp_path / "t.st"
+        p.write_bytes(len(encoded).to_bytes(8, "little") + encoded)
+        with pytest.raises(FormatError, match="malformed header"):
+            open_checkpoint(str(p))
+
+    @pytest.mark.parametrize(
+        "shape, offsets, match",
+        [([True], [0, 4], "bad shape"), ([1], [False, 4], "bad data_offsets"),
+         ([1], [0, True], "bad data_offsets")],
+    )
+    def test_bools_are_not_sizes(self, tmp_path, shape, offsets, match):
+        p = raw_file(
+            tmp_path / "t.st",
+            {"a": {"dtype": "F32", "shape": shape, "data_offsets": offsets}},
+            b"\x00" * 4,
+        )
+        with pytest.raises(FormatError, match=match):
+            open_checkpoint(p)
+
     def test_header_longer_than_file(self, tmp_path):
         p = tmp_path / "t.st"
         p.write_bytes((1 << 20).to_bytes(8, "little") + b"{}")
@@ -259,16 +280,15 @@ class TestReadDecode:
             with np.errstate(invalid="ignore"):
                 dense = read_checkpoint_dense(p)["a"]
             handle = open_checkpoint(p)
-            with open(p, "rb") as f:
-                payload = read_payload(handle, "a", 0, n, f, bytearray(bits.nbytes))
-            assert handle.bytes_read == handle.data_start + bits.nbytes
             out = np.empty(hi - lo)
-            if lo <= poison < hi:
-                with pytest.raises(ValidationError, match="non-finite value in 'a'"):
-                    payload.decode(lo, hi, out)
-            else:
-                payload.decode(lo, hi, out)
-                assert out.tobytes() == dense[lo:hi].tobytes()
+            with RangeReader([handle]) as reader:
+                if lo <= poison < hi:
+                    with pytest.raises(ValidationError, match="non-finite value in 'a'"):
+                        reader.decode(0, "a", lo, hi, out)
+                else:
+                    reader.decode(0, "a", lo, hi, out)
+                    assert out.tobytes() == dense[lo:hi].tobytes()
+                    assert handle.bytes_read == handle.data_start + (hi - lo) * bits.itemsize
 
     @pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
     def test_ranged_reads_share_one_buffer_and_count_their_bytes(self, tmp_path, dtype):
@@ -279,13 +299,12 @@ class TestReadDecode:
         start, width = handle.bytes_read, DTYPE_SIZES[dtype]
         ranges = [(0, 1), (5, _CHUNK + 5), (2 * _CHUNK, n), (7, 7)]
         raw = bytearray(_CHUNK * 4)
+        stored = Path(p).read_bytes()[handle.data_start :]
         with open(p, "rb") as f:
             for lo, hi in ranges:
-                payload = read_payload(handle, "a", lo, hi, f, raw)
-                assert hi == lo or np.shares_memory(payload.bits, np.frombuffer(raw, np.uint8))
-                out = np.empty(hi - lo)
-                payload.decode(0, hi - lo, out)
-                assert out.tolist() == values[lo:hi].tolist()
+                bits = read_payload(handle, "a", lo, hi, f, raw)
+                assert hi == lo or np.shares_memory(bits, np.frombuffer(raw, np.uint8))
+                assert bits.tobytes() == stored[lo * width : hi * width]
         assert handle.bytes_read == start + sum(hi - lo for lo, hi in ranges) * width
         # a reader decodes any range, one chunk at a time
         out = np.empty(n - 3)
