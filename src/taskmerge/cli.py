@@ -153,6 +153,8 @@ def _read_stats_file(path: str) -> TaskVectorStats:
 
 def cmd_coeffs(args) -> int:
     method = _CLI_METHODS[args.method]
+    if not math.isfinite(args.fixed_lambda):
+        raise RecipeError("--lambda must be finite")
     if args.stats_file:
         if args.paths:
             raise RecipeError("pass either --stats or checkpoint paths, not both")
@@ -196,6 +198,9 @@ def cmd_verify(args) -> int:
         raise RecipeError("--trials must be >= 1")
     if args.seed < 0:
         raise RecipeError("--seed must be non-negative")
+    for flag in ("dim", "tasks"):
+        if getattr(args, flag) is not None and getattr(args, flag) < 1:
+            raise RecipeError(f"--{flag} must be >= 1")
     if args.dim is not None and args.tasks is not None and args.dim < args.tasks:
         raise RecipeError("--dim must be >= --tasks (orthogonality requires it)")
     names = list(theory_lab.SUITES) if args.suite == "all" else [args.suite]

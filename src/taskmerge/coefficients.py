@@ -35,6 +35,8 @@ class CoefficientSet:
             raise RecipeError(f"unknown coefficient method '{self.method}'")
         if len(self.lambdas) != len(self.task_ids) or not self.task_ids:
             raise ValidationError("need one coefficient per task (T >= 1)")
+        if len(set(self.task_ids)) != len(self.task_ids):
+            raise ValidationError(f"task ids must be unique: {list(self.task_ids)}")
         if any(not math.isfinite(v) for v in self.lambdas):
             raise ValidationError("non-finite coefficient")
         if self.method == "metagpt":

@@ -14,12 +14,11 @@ coefficients fix lambda before any tensor is read, so their merge walks
 once, feeding both sinks, with the same norms and report.
 
 Memory never grows with total model size, nor with the size of any
-tensor. The walk is node-major: for each node of at most ``_CHUNK``
-elements of numpy's pairwise tree, the base's range and each task's range
-are read from inputs held open for the walk, decoded, diffed,
-square-summed, dropped, scaled and added while in cache, and the node of
-the sum is appended to the output before the next node is read. A TIES
-trim keeps the k largest magnitudes of a diff, and a
+tensor. Without TIES a merge runs the walk of ``compute_stats``,
+``task_vectors._walk_nodes``, with DARE as its transform: node by node,
+each input's range is read, diffed, square-summed, dropped, scaled and
+added while in cache, and the sum's node is appended before the next node
+is read. A TIES trim keeps the k largest magnitudes of a diff, and a
 ``selection.Selection`` finds the k-th exactly in passes over the nodes,
 with one fixed buffer of candidates: its first pass rides in the sweep
 that reads a task for its raw norm, and a later sweep re-reads the task
@@ -58,7 +57,7 @@ from .coefficients import COEFFICIENT_METHODS, NORM_FREE_METHODS, NORM_METHODS, 
 from .errors import RecipeError, ValidationError
 from .rng import CHUNK, drop_threshold, stream_seed, uniform_stream
 from .selection import Selection
-from .task_vectors import StatsAccumulator, node_arrays, read_diff, split
+from .task_vectors import StatsAccumulator, _walk_nodes, read_diff, split
 from .tensor_store import (
     _CHUNK,
     CheckpointHandle,
@@ -340,63 +339,29 @@ def _walk(
     norms: tuple[StatsAccumulator, StatsAccumulator | None] | None = None,
     combine: tuple[list[float], CheckpointWriter] | None = None,
 ) -> None:
-    """One streaming walk over (tensor name, task diffs) in sorted-name order.
+    """One walk of a merge over *reader*, input 0 the base and input t + 1
+    task t, feeding the sinks given, norms (raw, transformed) and combine
+    (lambdas, writer), as the module docstring says.
 
-    Input 0 of *reader* is the base and input t + 1 is task t. Each diff goes
-    to the sinks given:
-      - norms (raw, transformed): squared norms of the diff and of the
-        transformed diff before it is scaled (None: no transform);
-      - combine (lambdas, writer): writes base + sum_t lambda_t * tv_t.
-
-    Without TIES the walk is node-major, nodes of ``split`` outside and
-    tasks inside, in node arrays made once for the walk. Each task's node
-    sums fold up the pairwise tree and every element gets base + lambda_0 *
-    tv_0 + lambda_1 * tv_1 + ... in task order, so norms and sum are the
-    bits a whole-tensor walk gives.
-
-    With TIES, ``_ties_norms`` takes the norms and records in *selections*,
-    under (t, name), what each trim selected. ``_ties_combine`` then
-    replays every trim from its selection, block by block.
+    Without TIES this is ``_walk_nodes``. With TIES, ``_ties_norms`` takes
+    the norms and records in *selections*, under (t, name), what each trim
+    selected. ``_ties_combine`` then replays every trim from its selection,
+    block by block.
     """
     raw, transformed = norms or (None, None)
+    if recipe.transform != "ties":
+        def dare(t, name, lo, v):  # looks dare_transform up per call, as its wrappers need
+            dare_transform(v, recipe.dare_p, (recipe.seed, t, name), lo)
+
+        _walk_nodes(reader, raw, transformed, dare if recipe.transform == "dare" else None, combine)
+        return
     lambdas, writer = combine or (None, None)
-    base = reader.handles[0]
-    ties = recipe.transform == "ties"
-    if not ties:
-        # the base's node, the diffs' and, when combining, the sum's
-        nodes = node_arrays(base, 2 if writer is None else 3)
-    for name in sorted(base.index):
-        meta = base.index[name]
+    for name in sorted(reader.handles[0].index):
         holders = [t for t, model in enumerate(reader.handles[1:]) if name in model.index]
-        if ties:
-            if raw is not None:
-                _ties_norms(reader, name, holders, recipe.ties_density, selections,
-                            raw, transformed)
-            if writer is not None:
-                _ties_combine(reader, name, holders, lambdas, selections, writer)
-            continue
-        for lo, hi in split(meta.num_elements):
-            base_node = nodes[0, : hi - lo]
-            reader.decode(0, name, lo, hi, base_node)
-            if writer is not None:
-                node_sum = nodes[2, : hi - lo]
-                np.copyto(node_sum, base_node)
-            for t in holders:
-                v = read_diff(reader, t, name, lo, base_node, nodes[1, : hi - lo])
-                if raw is not None:
-                    raw.add_node(t, v)
-                if recipe.transform == "dare":
-                    dare_transform(v, recipe.dare_p, (recipe.seed, t, name), lo)
-                if transformed is not None:
-                    transformed.add_node(t, v)
-                if writer is not None:
-                    v *= lambdas[t]
-                    node_sum += v
-            if writer is not None:
-                writer.append(name, meta.shape, node_sum)
-        for acc in (raw, transformed):
-            if acc is not None:
-                acc.fold_nodes(meta.num_elements)
+        if raw is not None:
+            _ties_norms(reader, name, holders, recipe.ties_density, selections, raw, transformed)
+        if writer is not None:
+            _ties_combine(reader, name, holders, lambdas, selections, writer)
 
 
 def _ties_norms(

@@ -3,8 +3,8 @@
 The merge coefficients downstream need only the squared norms of the task
 vectors, and those are accumulated tensor-by-tensor in 64-bit reals, so whole
 checkpoints never have to be resident. The pairwise Gram matrix (for the
-cosine-similarity diagnostic) is opt-in: it decodes each node of every task's
-diff into a row of its own, so the walk holds one node per task.
+cosine-similarity diagnostic) is opt-in. Statistics and every merge but a
+TIES one run one node walk, ``_walk_nodes``.
 
 Reduction order is fixed: numpy's deterministic pairwise reduction within a
 tensor, then a sequential fold over tensors in sorted-name order. Two runs
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +31,7 @@ from .errors import ValidationError
 from .tensor_store import (
     _CHUNK,
     CheckpointHandle,
+    CheckpointWriter,
     RangeReader,
     read_tensor,  # noqa: F401 (stats read by range; bench/spans.py wraps this name)
     validate_compatibility,
@@ -113,14 +114,6 @@ def blocked_dot(a: np.ndarray, b: np.ndarray) -> float:
     return fold(a.size, (float(np.add.reduce(a[lo:hi] * b[lo:hi])) for lo, hi in leaves), _LEAF)
 
 
-def node_arrays(base: CheckpointHandle, rows: int) -> np.ndarray:
-    """*rows* float64 arrays of one node of *base*'s largest tensor, as the
-    rows of one array: a walk makes its node arrays once, so no tensor's
-    arrays are still held while the next tensor's nodes are read."""
-    largest = max((meta.num_elements for meta in base.index.values()), default=0)
-    return np.empty((rows, min(largest, _CHUNK)))
-
-
 def read_diff(
     reader: RangeReader, t: int, name: str, lo: int, base_node: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
@@ -146,6 +139,8 @@ class StatsAccumulator:
     def __init__(self, task_ids: list[str], want_gram: bool = False):
         if not task_ids:
             raise ValidationError("need at least one task")
+        if len(set(task_ids)) != len(task_ids):
+            raise ValidationError(f"task ids must be unique: {list(task_ids)}")
         self.task_ids = list(task_ids)
         t = len(task_ids)
         self._sq = np.zeros(t, dtype=np.float64)
@@ -205,6 +200,65 @@ class StatsAccumulator:
         )
 
 
+def _walk_nodes(
+    reader: RangeReader,
+    raw: StatsAccumulator | None,
+    transformed: StatsAccumulator | None = None,
+    transform: Callable[[int, str, int, np.ndarray], None] | None = None,
+    combine: tuple[list[float], CheckpointWriter] | None = None,
+) -> None:
+    """The node walk of ``compute_stats`` and of every merge but TIES, over
+    (tensor name, task diffs) in sorted-name order. Input 0 of *reader* is
+    the base and input t + 1 is task t.
+
+    Nodes of ``split`` are outside and tasks inside, in node arrays made
+    once for the walk. Each diff goes to *raw*, through transform(t, name,
+    lo, diff) in place, to *transformed*, then, scaled, into the sum that
+    combine (lambdas, writer) appends. When *raw* keeps the Gram matrix,
+    each diff of a node has a row of its own, and its pairs are taken after
+    the sinks, so they are raw pairs only in a walk with no transform and
+    no combine, such as ``compute_stats``'s. Node sums fold up the pairwise
+    tree and the sum adds tasks in order, so the bits are a whole-tensor
+    walk's, and an input at fault is met in (node, task) order.
+    """
+    lambdas, writer = combine or (None, None)
+    gram = raw is not None and raw._gram is not None
+    base = reader.handles[0]
+    largest = max((meta.num_elements for meta in base.index.values()), default=0)
+    # the base's node, the diffs' and, when combining, the sum's
+    rows = 1 + (len(reader.handles) - 1 if gram else 1) + (writer is not None)
+    nodes = np.empty((rows, min(largest, _CHUNK)))
+    for name in sorted(base.index):
+        meta = base.index[name]
+        holders = [t for t, model in enumerate(reader.handles[1:]) if name in model.index]
+        for lo, hi in split(meta.num_elements):
+            b = nodes[0, : hi - lo]
+            reader.decode(0, name, lo, hi, b)
+            if writer is not None:
+                node_sum = nodes[-1, : hi - lo]
+                np.copyto(node_sum, b)
+            held = []
+            for t in holders:
+                v = read_diff(reader, t, name, lo, b, nodes[1 + t if gram else 1, : hi - lo])
+                if raw is not None:
+                    raw.add_node(t, v)
+                if transform is not None:
+                    transform(t, name, lo, v)
+                if transformed is not None:
+                    transformed.add_node(t, v)
+                if writer is not None:
+                    v *= lambdas[t]
+                    node_sum += v
+                held.append((t, v))
+            if gram:
+                raw.add_pairs(held)
+            if writer is not None:
+                writer.append(name, meta.shape, node_sum)
+        for acc in (raw, transformed):
+            if acc is not None:
+                acc.fold_nodes(meta.num_elements)
+
+
 def compute_stats(
     base: CheckpointHandle,
     models: list[CheckpointHandle],
@@ -217,11 +271,8 @@ def compute_stats(
     Strict mode rejects any name drift; lenient mode lets tensors missing
     from a model contribute zero to its statistics (they are reported in
     ``missing_names``). Shape mismatches on common names are always fatal.
-    The walk is node-major, as a merge's: each node is read by range from
-    every input, so memory does not grow with any tensor, and an input at
-    fault is met in (node, task) order. For the Gram pairs each task's node
-    is decoded into a row of its own. All node arrays are allocated once
-    per call.
+    This is the node walk of a merge, ``_walk_nodes``, with no transform and
+    nothing to combine, so memory does not grow with any tensor.
     """
     if not models:
         raise ValidationError("need at least one model")
@@ -234,24 +285,8 @@ def compute_stats(
     report.require(strict)
 
     acc = StatsAccumulator(task_ids, want_gram)
-    # the base's node, then one row for the diffs, or one per task for the
-    # Gram pairs
-    nodes = node_arrays(base, 1 + (len(models) if want_gram else 1))
     with RangeReader([base, *models]) as reader:
-        for name in sorted(base.index):
-            holders = [t for t, model in enumerate(models) if name in model.index]
-            n = base.index[name].num_elements
-            for lo, hi in split(n):
-                b = nodes[0, : hi - lo]
-                reader.decode(0, name, lo, hi, b)
-                held = []
-                for t in holders:
-                    row = nodes[1 + t if want_gram else 1, : hi - lo]
-                    acc.add_node(t, read_diff(reader, t, name, lo, b, row))
-                    held.append((t, row))
-                if want_gram:
-                    acc.add_pairs(held)
-            acc.fold_nodes(n)
+        _walk_nodes(reader, acc)
     stats = acc.finalize()
     stats.missing_names = report.missing_from(base, models, task_ids) or None
     return stats

@@ -343,7 +343,9 @@ def _routes_agree(a: float, b: float) -> tuple[bool, float]:
 
 
 def _draw_ensemble(rng: np.random.Generator, dim: int | None, tasks: int | None):
-    t = tasks if tasks is not None else int(rng.integers(2, 9))
+    # 2 to 8 tasks, and no more than a given dim holds
+    most = 8 if dim is None else min(8, dim)
+    t = tasks if tasks is not None else int(rng.integers(min(2, most), most + 1))
     m = dim if dim is not None else int(rng.integers(max(8, t), 129))
     if m < t:
         raise ValidationError(f"--dim {m} is smaller than --tasks {t}")

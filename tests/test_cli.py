@@ -136,6 +136,15 @@ class TestCoeffs:
         code, out, _ = run_cli(capsys, "coeffs", base, m1, m2, "--method", "weight-average")
         assert json.loads(out)["lambdas"] == [0.5, 0.5]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_lambda_exits_1(self, capsys, trio, value):
+        # as a recipe's fixed_lambda of the same value does
+        base, m1, m2 = trio
+        code, _, err = run_cli(capsys, "coeffs", base, m1, m2, "--method", "fixed",
+                               f"--lambda={value}")
+        assert code == 1
+        assert "--lambda must be finite" in err
+
     def test_no_inputs_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "coeffs")
         assert code == 1
@@ -626,6 +635,21 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemma1", "--trials", "3",
                                "--dim", "16", "--tasks", "2")
         assert code == 0
+
+    @pytest.mark.parametrize("dim", ["1", "4"])
+    def test_small_dim_draws_tasks_it_holds(self, capsys, dim):
+        # with no --tasks, the drawn task count never passes --dim
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--trials", "5",
+                               "--dim", dim)
+        assert code == 0
+        assert json.loads(out)["violations"] == 0
+
+    @pytest.mark.parametrize("flags", [("--tasks", "0"), ("--tasks", "-2"), ("--dim", "0"),
+                                       ("--dim", "-1")])
+    def test_nonpositive_dim_or_tasks_exits_1(self, capsys, flags):
+        code, _, err = run_cli(capsys, "verify", "--suite", "thm1", *flags)
+        assert code == 1
+        assert f"{flags[0]} must be >= 1" in err
 
 
 class TestContract:

@@ -159,3 +159,11 @@ class TestSerialization:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             CoefficientSet(["a", "b"], [0.3], "fixed")
+
+    def test_duplicate_task_ids_rejected(self):
+        # two coefficients under one id could not be told apart
+        with pytest.raises(ValidationError, match="unique"):
+            CoefficientSet(["a", "a"], [0.3, 0.3], "fixed")
+        with pytest.raises(ValidationError, match="unique"):
+            coefficients_from_dict({"method": "external", "tasks": ["x", "x"],
+                                    "lambdas": [0.5, 0.25]})

@@ -191,8 +191,15 @@ class TestComputeStats:
         assert stats.sq_norms == [25.0]
         assert stats.missing_names == {"y": ["m"]}
 
+    @pytest.mark.parametrize("method", ["metagpt", "weight_average"])
+    @pytest.mark.parametrize("transform", ["none", "dare"])
+    @pytest.mark.parametrize("want_gram", [False, True], ids=["norms", "gram"])
     @pytest.mark.parametrize("strict", [True, False])
-    def test_norms_and_missing_names_match_engine(self, tmp_path, strict):
+    def test_norms_and_missing_names_match_engine(self, tmp_path, strict, want_gram, transform,
+                                                  method):
+        # stats and non-TIES merges share one walk, whose raw norms are taken
+        # before any transform: in a norms-only walk before the combine walk
+        # (metagpt), and in the one walk of a norm-free method
         rng = np.random.default_rng(17)
         base = {"w.a": rng.standard_normal((4, 5)), "w.b": rng.standard_normal(7)}
         models = [
@@ -209,17 +216,32 @@ class TestComputeStats:
             [open_checkpoint(p) for p in model_ps],
             strict=strict,
             task_ids=ids,
+            want_gram=want_gram,
         )
         recipe = MergeRecipe(
             base=base_p,
             tasks=[TaskSpec(tid, p) for tid, p in zip(ids, model_ps)],
             output=str(tmp_path / "o.st"),
             strict_keys=strict,
+            method=method,
+            transform=transform,
+            dare_p=0.5,
         )
         _, report = run_recipe(recipe)
-        assert np.array(stats.sq_norms).tobytes() == np.array(report.raw_sq_norms).tobytes()
+        raw = np.array(report.raw_sq_norms).tobytes()
+        assert np.array(stats.sq_norms).tobytes() == raw
+        if want_gram:
+            assert np.diag(stats.gram).tobytes() == raw
         assert (stats.missing_names or {}) == report.missing_names
         assert report.missing_names == ({} if strict else {"w.b": ["b"]})
+
+    def test_duplicate_task_ids_rejected(self, small_family):
+        paths, *_ = small_family
+        models = [open_checkpoint(paths["m1"]), open_checkpoint(paths["m2"])]
+        with pytest.raises(ValidationError, match="unique"):
+            compute_stats(open_checkpoint(paths["base"]), models, task_ids=["x", "x"])
+        with pytest.raises(ValidationError, match="unique"):
+            stats_from_arrays(["y", "y"], [np.ones(3), np.zeros(3)])
 
     def test_shape_mismatch_always_fatal(self, tmp_path):
         base = write_ckpt(tmp_path / "b.st", {"x": np.zeros((2, 2))})
