@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import jsonutil, theory_lab
-from .coefficients import NORM_FREE_METHODS, NORM_METHODS
+from .coefficients import COEFFICIENT_METHODS, NORM_FREE_METHODS, NORM_METHODS
 from .errors import FormatError, RecipeError, ValidationError
 from .merge_engine import MergeRecipe, run_recipe
 from .task_vectors import TaskVectorStats, compute_stats, default_task_ids
@@ -23,13 +23,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VIOLATION = 3
-
-# the CLI's --method spellings -> the method names of recipes
-_CLI_METHODS = {
-    "metagpt": "metagpt",
-    "fixed": "task_arithmetic_fixed",
-    "weight-average": "weight_average",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,9 +52,9 @@ def _build_parser() -> _Parser:
                    help="base checkpoint followed by fine-tuned models")
     p.add_argument("--stats", dest="stats_file",
                    help="use a stats JSON report instead of checkpoints")
-    p.add_argument("--method", choices=tuple(_CLI_METHODS), default="metagpt")
+    p.add_argument("--method", choices=COEFFICIENT_METHODS, default="metagpt")
     p.add_argument("--lambda", dest="fixed_lambda", type=float, default=0.3,
-                   help="coefficient value for --method fixed")
+                   help="coefficient value for --method task_arithmetic_fixed")
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("merge", help="run a merge recipe")
@@ -126,33 +119,14 @@ def _read_stats_file(path: str) -> TaskVectorStats:
     data = _load_json(path, "stats file")
     if not isinstance(data, dict):
         raise RecipeError("stats file must be a JSON object")
-    tasks, sq_norms = data.get("tasks"), data.get("sq_norms")
-    if (
-        not isinstance(tasks, list)
-        or not all(isinstance(t, str) for t in tasks)
-        or len(set(tasks)) != len(tasks)
-    ):
-        raise RecipeError("stats file needs 'tasks': a list of unique strings")
-    # bool is an int subclass, but true/false is never a norm
-    if (
-        not isinstance(sq_norms, list)
-        or len(sq_norms) != len(tasks)
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in sq_norms)
-    ):
-        raise RecipeError("stats file needs 'sq_norms': a list of one number per task")
-    # json reads NaN, Infinity and 1e400 as floats; float() of a huge int overflows
-    bad = "stats file needs 'sq_norms': finite float64 numbers"
-    try:
-        norms = [float(v) for v in sq_norms]
-    except OverflowError as e:
-        raise RecipeError(bad) from e
-    if not all(math.isfinite(v) for v in norms):
-        raise RecipeError(bad)
+    tasks = jsonutil.read_strings(data.get("tasks"), "stats file needs 'tasks'")
+    norms = jsonutil.read_numbers(data.get("sq_norms"), "stats file needs 'sq_norms'")
+    if len(set(tasks)) != len(tasks) or len(norms) != len(tasks):
+        raise RecipeError("stats file needs unique 'tasks' and one of 'sq_norms' per task")
     return TaskVectorStats(task_ids=tasks, sq_norms=norms)
 
 
 def cmd_coeffs(args) -> int:
-    method = _CLI_METHODS[args.method]
     if not math.isfinite(args.fixed_lambda):
         raise RecipeError("--lambda must be finite")
     if args.stats_file:
@@ -165,17 +139,17 @@ def cmd_coeffs(args) -> int:
             raise RecipeError("need BASE and at least one MODEL (or --stats FILE)")
         base = open_checkpoint(args.paths[0])
         models = [open_checkpoint(p) for p in args.paths[1:]]
-        if method in NORM_METHODS:
+        if args.method in NORM_METHODS:
             stats = compute_stats(base, models, strict=args.strict)
         else:
             # these coefficients need the task ids alone: no tensor is read
             validate_compatibility([base] + models).require(args.strict)
             task_ids = default_task_ids(models)
 
-    if method in NORM_METHODS:
-        coeffs = NORM_METHODS[method](stats)
+    if args.method in NORM_METHODS:
+        coeffs = NORM_METHODS[args.method](stats)
     else:
-        coeffs = NORM_FREE_METHODS[method](task_ids, args.fixed_lambda)
+        coeffs = NORM_FREE_METHODS[args.method](task_ids, args.fixed_lambda)
     print(coeffs.to_json(indent=2))
     return EXIT_OK
 

@@ -20,8 +20,6 @@ from . import jsonutil
 from .errors import RecipeError, ValidationError
 from .task_vectors import TaskVectorStats
 
-METHODS = ("metagpt", "fixed", "weight_average", "external")
-
 
 @dataclass
 class CoefficientSet:
@@ -31,7 +29,7 @@ class CoefficientSet:
     source_stats_digest: str | None = None
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method not in LABELS:
             raise RecipeError(f"unknown coefficient method '{self.method}'")
         if len(self.lambdas) != len(self.task_ids) or not self.task_ids:
             raise ValidationError("need one coefficient per task (T >= 1)")
@@ -103,7 +101,7 @@ def fixed_coefficients(task_ids: list[str], value: float = 0.3) -> CoefficientSe
         raise ValidationError("no tasks")
     if not math.isfinite(value):
         raise ValidationError("coefficient must be finite")
-    return CoefficientSet(list(task_ids), [float(value)] * len(task_ids), "fixed")
+    return CoefficientSet(list(task_ids), [float(value)] * len(task_ids), "task_arithmetic_fixed")
 
 
 def weight_average_coefficients(task_ids: list[str]) -> CoefficientSet:
@@ -116,9 +114,7 @@ def weight_average_coefficients(task_ids: list[str]) -> CoefficientSet:
 
 # Recipe method name -> coefficient function. The norm-free methods take
 # (task ids, fixed lambda), so they fix lambda before any tensor is read; the
-# others take the task-vector statistics. The CoefficientSet labels in
-# METHODS differ ("fixed" is "task_arithmetic_fixed" here) and stay as they
-# are: reports carry them.
+# others take the task-vector statistics.
 NORM_FREE_METHODS: dict[str, Callable[[list[str], float], CoefficientSet]] = {
     "weight_average": lambda task_ids, value: weight_average_coefficients(task_ids),
     "task_arithmetic_fixed": fixed_coefficients,
@@ -127,18 +123,21 @@ NORM_METHODS: dict[str, Callable[[TaskVectorStats], CoefficientSet]] = {
     "metagpt": metagpt_coefficients,
 }
 COEFFICIENT_METHODS = (*NORM_FREE_METHODS, *NORM_METHODS)
+# the labels a CoefficientSet may carry: the recipe method that made it, or
+# "external" for coefficients given from outside
+LABELS = (*COEFFICIENT_METHODS, "external")
 
 
 def coefficients_from_dict(data: dict) -> CoefficientSet:
-    """Parse the JSON interchange form {"method", "tasks", "lambdas"}."""
-    try:
-        tasks = list(data["tasks"])
-        lambdas = [float(v) for v in data["lambdas"]]
-        method = str(data.get("method", "external"))
-    except (KeyError, TypeError, ValueError) as e:
-        raise RecipeError(f"bad coefficient spec: {e}") from e
-    if method not in METHODS:
-        method = "external"
-    return CoefficientSet(
-        tasks, lambdas, method, source_stats_digest=data.get("source_stats_digest")
-    )
+    """Parse the JSON interchange form {"method", "tasks", "lambdas"}. A
+    method not in ``LABELS``, such as the ``fixed`` of older files, reads
+    as "external"."""
+    if not isinstance(data, dict):
+        raise RecipeError("bad coefficient spec: not a JSON object")
+    tasks = jsonutil.read_strings(data.get("tasks"), "bad coefficient spec: 'tasks'")
+    lambdas = jsonutil.read_numbers(data.get("lambdas"), "bad coefficient spec: 'lambdas'")
+    digest = data.get("source_stats_digest")
+    if digest is not None and not isinstance(digest, str):
+        raise RecipeError("bad coefficient spec: 'source_stats_digest' must be a string")
+    method = data.get("method")
+    return CoefficientSet(tasks, lambdas, method if method in LABELS else "external", digest)

@@ -1,9 +1,11 @@
-"""Deterministic JSON serialization.
+"""Deterministic JSON serialization, and the checks on lists read back.
 
 Reports and stats exports must be byte-identical across runs, so floats are
 rendered with 17 significant digits (lossless for 64-bit reals) and mappings
 keep their construction order. ``json.dumps`` alone cannot control float
-formatting, hence this small recursive serializer.
+formatting, hence this small recursive serializer. ``read_strings`` and
+``read_numbers`` check the lists of a parsed JSON file (a stats or
+coefficient file) and raise ``RecipeError`` on any other shape.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import json
 import math
 
 import numpy as np
+
+from .errors import RecipeError
 
 
 def format_float(x: float) -> str:
@@ -73,3 +77,30 @@ def _write(obj, out: list[str], indent: int | None, depth: int) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def read_strings(value, what: str) -> list[str]:
+    """A copy of *value* if it is a JSON list of strings, else a RecipeError
+    that begins with *what*."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise RecipeError(f"{what}: a list of strings")
+    return list(value)
+
+
+def read_numbers(value, what: str) -> list[float]:
+    """The JSON list of numbers *value* as finite float64s, else a
+    RecipeError that begins with *what*."""
+    bad = RecipeError(f"{what}: a list of finite float64 numbers")
+    # bool is an int subclass, but true/false is never a number
+    if not isinstance(value, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise bad
+    # json reads NaN, Infinity and 1e400 as floats; float() of a huge int overflows
+    try:
+        out = [float(v) for v in value]
+    except OverflowError:
+        raise bad from None
+    if not all(math.isfinite(v) for v in out):
+        raise bad
+    return out

@@ -426,6 +426,9 @@ class CheckpointWriter:
                 raise ValidationError(
                     f"tensor '{name}': more than {size} values for shape {list(declared)}"
                 )
+            # this pass, not _encode, is what rejects NaN: rounding to BF16
+            # carries a float32 NaN of all-ones payload into the sign bit, so
+            # _encode alone would write it as -0.0 (and its negative as +0.0)
             if not np.isfinite(values).all():
                 raise ValidationError(f"tensor '{name}': non-finite value")
             encoded = _encode(values, dtype, name)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from taskmerge import FormatError, MergeRecipe, TaskSpec, ValidationError, cli, merge_engine
 from taskmerge import compute_stats, open_checkpoint, read_tensor, run_recipe, selection
 from taskmerge import tensor_store
+from taskmerge.coefficients import COEFFICIENT_METHODS
 from taskmerge.task_vectors import split
 from taskmerge.tensor_store import _CHUNK, DTYPE_SIZES
 
@@ -126,22 +127,36 @@ class TestCoeffs:
 
     def test_fixed_with_lambda(self, capsys, trio):
         base, m1, m2 = trio
-        code, out, _ = run_cli(capsys, "coeffs", base, m1, m2, "--method", "fixed",
-                               "--lambda", "0.4")
+        code, out, _ = run_cli(capsys, "coeffs", base, m1, m2,
+                               "--method", "task_arithmetic_fixed", "--lambda", "0.4")
         assert code == 0
         assert json.loads(out)["lambdas"] == [0.4, 0.4]
 
     def test_weight_average(self, capsys, trio):
         base, m1, m2 = trio
-        code, out, _ = run_cli(capsys, "coeffs", base, m1, m2, "--method", "weight-average")
+        code, out, _ = run_cli(capsys, "coeffs", base, m1, m2, "--method", "weight_average")
         assert json.loads(out)["lambdas"] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("method", COEFFICIENT_METHODS)
+    def test_method_names_are_the_labels(self, capsys, trio, method):
+        base, m1, m2 = trio
+        code, out, _ = run_cli(capsys, "coeffs", base, m1, m2, "--method", method)
+        assert code == 0
+        assert json.loads(out)["method"] == method
+
+    @pytest.mark.parametrize("method", ["fixed", "weight-average"])
+    def test_old_method_spellings_exit_1(self, capsys, trio, method):
+        base, m1, m2 = trio
+        code, out, err = run_cli(capsys, "coeffs", base, m1, m2, "--method", method)
+        assert (code, out) == (1, "")
+        assert "invalid choice" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_nonfinite_lambda_exits_1(self, capsys, trio, value):
         # as a recipe's fixed_lambda of the same value does
         base, m1, m2 = trio
-        code, _, err = run_cli(capsys, "coeffs", base, m1, m2, "--method", "fixed",
-                               f"--lambda={value}")
+        code, _, err = run_cli(capsys, "coeffs", base, m1, m2,
+                               "--method", "task_arithmetic_fixed", f"--lambda={value}")
         assert code == 1
         assert "--lambda must be finite" in err
 
@@ -159,11 +174,12 @@ class TestCoeffs:
 
         monkeypatch.setattr(tensor_store, "read_payload", counted)
         base, m1, m2 = trio
-        for method, lambdas in (("weight-average", [0.5, 0.5]), ("fixed", [0.3, 0.3])):
+        for method, lambdas in (("weight_average", [0.5, 0.5]),
+                                ("task_arithmetic_fixed", [0.3, 0.3])):
             code, out, _ = run_cli(capsys, "coeffs", base, m1, m2, "--method", method)
             assert code == 0
             assert json.loads(out) == {
-                "method": method.replace("-", "_"),
+                "method": method,
                 "tasks": ["m1", "m2"],
                 "lambdas": lambdas,
             }
@@ -173,7 +189,7 @@ class TestCoeffs:
         base, m1, _ = trio
         short = write_ckpt(tmp_path / "short.st", {"a": np.ones((2, 2))})
         code, _, err = run_cli(capsys, "coeffs", base, m1, short,
-                               "--method", "weight-average", "--strict")
+                               "--method", "weight_average", "--strict")
         assert code == 2
         assert "key-compatible" in err
 
@@ -181,12 +197,12 @@ class TestCoeffs:
         "method,data",
         [
             ("metagpt", {"tasks": ["a"], "sq_norms": [1.0, 0.0]}),
-            ("weight-average", {"tasks": ["a", "b"], "sq_norms": [1.0]}),
-            ("weight-average", {"tasks": "ab", "sq_norms": [1.0, 2.0]}),
+            ("weight_average", {"tasks": ["a", "b"], "sq_norms": [1.0]}),
+            ("weight_average", {"tasks": "ab", "sq_norms": [1.0, 2.0]}),
             ("metagpt", {"tasks": ["a", "a"], "sq_norms": [1.0, 2.0]}),
             ("metagpt", {"tasks": ["a", "b"], "sq_norms": [float("nan"), 1.0]}),
             ("metagpt", {"tasks": ["a", "b"], "sq_norms": [float("inf"), 1.0]}),
-            ("weight-average", {"tasks": ["a", "b"], "sq_norms": [10**400, 1.0]}),
+            ("weight_average", {"tasks": ["a", "b"], "sq_norms": [10**400, 1.0]}),
         ],
         ids=["norms_longer", "norms_shorter", "tasks_string", "duplicate_ids",
              "nan_norm", "infinite_norm", "huge_int_norm"],
@@ -254,6 +270,13 @@ class TestMerge:
         report = json.loads(out)
         assert report["coefficients"]["lambdas"] == [0.25, 0.75]
         assert json.loads(report_path.read_text()) == report
+
+    @pytest.mark.parametrize("method", COEFFICIENT_METHODS)
+    def test_report_coefficients_carry_the_recipe_method(self, capsys, tmp_path, trio, method):
+        recipe, _ = self.write_recipe(tmp_path, trio, method=method)
+        code, out, _ = run_cli(capsys, "merge", "--recipe", recipe)
+        assert code == 0
+        assert json.loads(out)["coefficients"]["method"] == method
 
     def test_bad_density_exits_1(self, capsys, tmp_path, trio):
         recipe, _ = self.write_recipe(tmp_path, trio, ties_density=1.2)

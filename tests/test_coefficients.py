@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from taskmerge import (
     CoefficientSet,
+    RecipeError,
     TaskVectorStats,
     ValidationError,
     coefficients_from_dict,
@@ -15,6 +16,7 @@ from taskmerge import (
     metagpt_coefficients,
     weight_average_coefficients,
 )
+from taskmerge.coefficients import COEFFICIENT_METHODS
 
 
 def stats_of(norms):
@@ -149,8 +151,38 @@ class TestSerialization:
         assert back.source_stats_digest == coeffs.source_stats_digest
 
     def test_unknown_method_becomes_external(self):
-        back = coefficients_from_dict({"method": "mystery", "tasks": ["a"], "lambdas": [0.4]})
-        assert back.method == "external"
+        # "fixed" is the label older files gave task arithmetic
+        for method in ("mystery", "fixed"):
+            back = coefficients_from_dict({"method": method, "tasks": ["a"], "lambdas": [0.4]})
+            assert back.method == "external"
+
+    def test_labels_are_the_recipe_methods_and_external(self):
+        assert fixed_coefficients(["a"]).method == "task_arithmetic_fixed"
+        assert weight_average_coefficients(["a"]).method == "weight_average"
+        for label in (*COEFFICIENT_METHODS, "external"):
+            spec = {"method": label, "tasks": ["a"], "lambdas": [1.0]}
+            assert coefficients_from_dict(spec).to_dict() == spec
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"tasks": "ab", "lambdas": [0.5, 0.5]},
+            {"tasks": [1, 2], "lambdas": [0.5, 0.5]},
+            {"tasks": ["a", "b"], "lambdas": "12"},
+            {"tasks": ["a"], "lambdas": [True]},
+            {"tasks": ["a"], "lambdas": ["0.5"]},
+            {"tasks": ["a"], "lambdas": [10**400]},
+            {"tasks": ["a"], "lambdas": [0.5], "source_stats_digest": 5},
+            {"lambdas": [0.5]},
+            ["a"],
+        ],
+        ids=["tasks_string", "integer_ids", "lambdas_string", "bool_lambda",
+             "string_lambda", "huge_int_lambda", "digest_not_string", "no_tasks",
+             "not_an_object"],
+    )
+    def test_malformed_spec_rejected(self, spec):
+        with pytest.raises(RecipeError, match="^bad coefficient spec: "):
+            coefficients_from_dict(spec)
 
     def test_metagpt_invariants_enforced_on_import(self):
         with pytest.raises(ValidationError):
@@ -158,12 +190,12 @@ class TestSerialization:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            CoefficientSet(["a", "b"], [0.3], "fixed")
+            CoefficientSet(["a", "b"], [0.3], "task_arithmetic_fixed")
 
     def test_duplicate_task_ids_rejected(self):
         # two coefficients under one id could not be told apart
         with pytest.raises(ValidationError, match="unique"):
-            CoefficientSet(["a", "a"], [0.3, 0.3], "fixed")
+            CoefficientSet(["a", "a"], [0.3, 0.3], "task_arithmetic_fixed")
         with pytest.raises(ValidationError, match="unique"):
             coefficients_from_dict({"method": "external", "tasks": ["x", "x"],
                                     "lambdas": [0.5, 0.25]})

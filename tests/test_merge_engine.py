@@ -831,7 +831,8 @@ class TestCoeffsOverride:
             output=str(tmp_path / "out.st"),
             method="task_arithmetic_fixed",
         )
-        handle, _ = run_recipe(recipe, coeffs_override=CoefficientSet(ids, lambdas, "fixed"))
+        coeffs = CoefficientSet(ids, lambdas, "task_arithmetic_fixed")
+        handle, _ = run_recipe(recipe, coeffs_override=coeffs)
         if expect in ("model", "base"):
             path = model_ps[0] if expect == "model" else base_p
             expect = read_tensor(open_checkpoint(path), "w").values.tolist()

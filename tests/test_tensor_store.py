@@ -349,6 +349,17 @@ class TestWrite:
         with pytest.raises(ValidationError):
             write_checkpoint(str(tmp_path / "c.st"), [(buf, "F32")])
 
+    @pytest.mark.parametrize("sign", [0, 1])
+    def test_bf16_nan_rounding_into_sign_rejected(self, tmp_path, sign):
+        # rounded to BF16, a float32 NaN of all-ones payload carries into the
+        # sign bit (0x8000, or 0x0000 for its negative): only the writer's
+        # finiteness pass stops it from landing as a signed zero
+        bits = np.array([0x7FFF_FFFF_FFFF_FFFF | sign << 63], dtype=np.uint64)
+        buf = TensorBuffer("a", (1,), bits.view(np.float64))
+        with pytest.raises(ValidationError, match="^tensor 'a': non-finite value$"):
+            write_checkpoint(str(tmp_path / "c.st"), [(buf, "BF16")])
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_bytes(self, tmp_path):
         arrays = {"b": np.arange(5.0), "a": np.array([[1.0, 2.0]])}
         p1 = write_ckpt(tmp_path / "one.st", arrays, metadata={"k": "v"})
