@@ -68,9 +68,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, help="fix the parameter dimension")
     p.add_argument("--tasks", type=int, help="fix the task count")
-    p.add_argument("--legacy-indicator", action="store_true",
-                   help="use the literal (1 - lambda^2) own-task factor in the "
-                        "bounds, recording gaps without asserting them")
     return parser
 
 
@@ -184,7 +181,6 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         dim=args.dim,
         tasks=args.tasks,
-        legacy_indicator=args.legacy_indicator,
     )
     print(jsonutil.dumps(report, indent=2))
     return EXIT_OK if report["violations"] == 0 else EXIT_VIOLATION

@@ -25,10 +25,6 @@ from .errors import ValidationError
 
 SUITES = ("lemma1", "thm1", "thm2", "thm3", "thm4", "hessian")
 
-#: suites that exercise the coefficient/bound indicator and therefore react
-#: to the legacy-indicator compatibility flag
-_BOUND_SUITES = ("thm1", "thm2", "thm3")
-
 
 @dataclass
 class QuadraticTask:
@@ -79,20 +75,7 @@ def make_ensemble(
     """
     if not 1 <= num_tasks <= dim:
         raise ValidationError(f"need 1 <= T <= m, got T={num_tasks}, m={dim}")
-    if min(delta_range) <= 0 or min(norm_range) <= 0:
-        raise ValidationError("delta_range and norm_range must be positive")
-    rng = np.random.default_rng(seed)
-    theta0 = rng.standard_normal(dim)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, num_tasks)))
-    norms = rng.uniform(*norm_range, size=num_tasks)
-    deltas = rng.uniform(*delta_range, size=num_tasks)
-    tasks = []
-    for t in range(num_tasks):
-        tau = q[:, t] * norms[t]
-        tasks.append(
-            QuadraticTask(theta=theta0 + tau, tau=tau, delta=float(deltas[t]), g=deltas[t] * tau)
-        )
-    return QuadraticEnsemble(theta0, tasks)
+    return _random_ensemble(num_tasks, dim, seed, delta_range, norm_range)
 
 
 def make_correlated_ensemble(
@@ -108,22 +91,31 @@ def make_correlated_ensemble(
     orthogonality assumption fails; not a valid input elsewhere."""
     if not 0.0 <= pairwise_cos < 1.0:
         raise ValidationError("pairwise_cos must be in [0, 1)")
-    if num_tasks + 1 > dim:
-        raise ValidationError("need T + 1 <= m for the shared component")
+    if not 1 <= num_tasks < dim:
+        raise ValidationError(
+            f"need 1 <= T < m for the shared component, got T={num_tasks}, m={dim}")
+    return _random_ensemble(num_tasks, dim, seed, delta_range, norm_range, pairwise_cos)
+
+
+def _random_ensemble(
+    num_tasks: int, dim: int, seed: int, delta_range, norm_range, pairwise_cos: float | None = None
+) -> QuadraticEnsemble:
+    # one generator draws theta0, a QR basis of T columns (T + 1 when the
+    # tasks share a component), then the norms and the deltas, in that order
+    if min(delta_range) <= 0 or min(norm_range) <= 0:
+        raise ValidationError("delta_range and norm_range must be positive")
     rng = np.random.default_rng(seed)
     theta0 = rng.standard_normal(dim)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, num_tasks + 1)))
-    shared = q[:, -1]
-    a = math.sqrt(1.0 - pairwise_cos)
-    b = math.sqrt(pairwise_cos)
+    shared = pairwise_cos is not None
+    q, _ = np.linalg.qr(rng.standard_normal((dim, num_tasks + shared)))
+    if shared:
+        q = math.sqrt(1.0 - pairwise_cos) * q[:, :-1] + math.sqrt(pairwise_cos) * q[:, -1:]
     norms = rng.uniform(*norm_range, size=num_tasks)
     deltas = rng.uniform(*delta_range, size=num_tasks)
     tasks = []
     for t in range(num_tasks):
-        tau = (a * q[:, t] + b * shared) * norms[t]
-        tasks.append(
-            QuadraticTask(theta=theta0 + tau, tau=tau, delta=float(deltas[t]), g=deltas[t] * tau)
-        )
+        tau = q[:, t] * norms[t]
+        tasks.append(QuadraticTask(theta0 + tau, tau, float(deltas[t]), deltas[t] * tau))
     return QuadraticEnsemble(theta0, tasks)
 
 
@@ -184,24 +176,15 @@ def tld_quadratic(e: QuadraticEnsemble, t: int, lambdas: np.ndarray) -> float:
     return 0.5 * r * r
 
 
-def _indicator(lam: float, legacy: bool) -> float:
-    # own-task factor of the bound: (1 - lam)^2 follows the expansion of
-    # ||h||^2 and is consistent with the closed form; the literal reading
-    # (1 - lam^2) is kept behind the flag for comparison
-    return 1.0 - lam * lam if legacy else (1.0 - lam) ** 2
-
-
-def tld_bound(
-    e: QuadraticEnsemble, t: int, lambdas: np.ndarray, legacy_indicator: bool = False
-) -> float:
+def tld_bound(e: QuadraticEnsemble, t: int, lambdas: np.ndarray) -> float:
     """Data-free upper bound on the task-t loss difference:
-    (delta_t^2 / 2) ||tau_t||^2 [ own(lambda_t) ||tau_t||^2
+    (delta_t^2 / 2) ||tau_t||^2 [ (1 - lambda_t)^2 ||tau_t||^2
                                   + sum_{k != t} lambda_k^2 ||tau_k||^2 ]."""
     lambdas = _check_lambdas(e, lambdas)
     task = e.tasks[t]
     sq = e.sq_norms
     cross = float(np.sum(lambdas**2 * sq)) - lambdas[t] ** 2 * sq[t]
-    own = _indicator(float(lambdas[t]), legacy_indicator) * sq[t]
+    own = (1.0 - float(lambdas[t])) ** 2 * sq[t]
     return 0.5 * task.delta**2 * sq[t] * (cross + own)
 
 
@@ -210,28 +193,23 @@ def ald(e: QuadraticEnsemble, lambdas: np.ndarray) -> float:
     return math.fsum(exact_tld(e, t, lambdas) for t in range(e.num_tasks)) / e.num_tasks
 
 
-def ald_bound(
-    e: QuadraticEnsemble, lambdas: np.ndarray, legacy_indicator: bool = False
-) -> float:
+def ald_bound(e: QuadraticEnsemble, lambdas: np.ndarray) -> float:
     """Sum of the per-task bounds; dominates the average loss difference on
     orthogonal ensembles (the 1/T prefactor is dropped, every term >= 0)."""
-    return math.fsum(
-        tld_bound(e, t, lambdas, legacy_indicator) for t in range(e.num_tasks)
-    )
+    return math.fsum(tld_bound(e, t, lambdas) for t in range(e.num_tasks))
 
 
-def ald_lambda_term(
-    e: QuadraticEnsemble, t: int, lambda_t: float, legacy_indicator: bool = False
-) -> float:
+def ald_lambda_term(e: QuadraticEnsemble, t: int, lambda_t):
     """All terms of the decoupled objective containing lambda_t:
-    (delta0^2 / 2) ||tau_t||^2 [ own(lambda_t) ||tau_t||^2
+    (delta0^2 / 2) ||tau_t||^2 [ (1 - lambda_t)^2 ||tau_t||^2
                                  + lambda_t^2 sum_{j != t} ||tau_j||^2 ].
 
-    A scalar quadratic in lambda_t (with the consistent indicator); its
-    vertex is the closed-form coefficient."""
+    A scalar quadratic in lambda_t; its vertex is the closed-form
+    coefficient. ``lambda_t`` may be a float or an array of candidates,
+    which gives the term at each."""
     sq = e.sq_norms
     rest = float(np.sum(sq)) - sq[t]
-    own = _indicator(float(lambda_t), legacy_indicator) * sq[t]
+    own = (1.0 - lambda_t) ** 2 * sq[t]
     return 0.5 * e.delta0**2 * sq[t] * (own + lambda_t**2 * rest)
 
 
@@ -248,16 +226,9 @@ def grid_search_lambda(e: QuadraticEnsemble, step: float = 1e-4) -> np.ndarray:
     if not 0.0 < step <= 0.1:
         raise ValidationError("step must be in (0, 0.1]")
     grid = np.linspace(0.0, 1.0, round(1.0 / step) + 1)
-    sq = e.sq_norms
-    total = float(np.sum(sq))
-    out = np.empty(e.num_tasks)
-    for t in range(e.num_tasks):
-        rest = total - sq[t]
-        # vectorized ald_lambda_term over the grid (argmin takes the first,
-        # i.e. smallest, lambda on ties)
-        vals = 0.5 * e.delta0**2 * sq[t] * ((1.0 - grid) ** 2 * sq[t] + grid**2 * rest)
-        out[t] = grid[int(np.argmin(vals))]
-    return out
+    # argmin takes the first, i.e. smallest, lambda on ties
+    return np.array([grid[int(np.argmin(ald_lambda_term(e, t, grid)))]
+                     for t in range(e.num_tasks)])
 
 
 def verify_hessian_identity(
@@ -346,7 +317,7 @@ def _draw_ensemble(rng: np.random.Generator, dim: int | None, tasks: int | None)
     # 2 to 8 tasks, and no more than a given dim holds
     most = 8 if dim is None else min(8, dim)
     t = tasks if tasks is not None else int(rng.integers(min(2, most), most + 1))
-    m = dim if dim is not None else int(rng.integers(max(8, t), 129))
+    m = dim if dim is not None else int(rng.integers(max(8, t), max(128, t) + 1))
     if m < t:
         raise ValidationError(f"--dim {m} is smaller than --tasks {t}")
     return make_ensemble(t, m, seed=int(rng.integers(0, 2**63)))
@@ -358,17 +329,14 @@ def run_suite(
     seed: int = 0,
     dim: int | None = None,
     tasks: int | None = None,
-    legacy_indicator: bool = False,
 ) -> dict:
     """Run one verification suite; returns its JSON-ready report entry."""
     if name not in SUITES:
         raise ValidationError(f"unknown suite '{name}' (choose from {', '.join(SUITES)})")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    _check_run(trials, seed)
     rng = np.random.default_rng(seed)
     violations = 0
     max_gap = -math.inf
-    legacy_applies = legacy_indicator and name in _BOUND_SUITES
 
     for _ in range(trials):
         e = _draw_ensemble(rng, dim, tasks)
@@ -383,19 +351,18 @@ def run_suite(
                 max_gap = max(max_gap, gap)
         elif name == "thm1":
             for t in range(e.num_tasks):
-                gap = exact_tld(e, t, lambdas) - tld_bound(e, t, lambdas, legacy_applies)
+                gap = exact_tld(e, t, lambdas) - tld_bound(e, t, lambdas)
                 if gap > 1e-9:
                     violations += 1
                 max_gap = max(max_gap, gap)
         elif name == "thm2":
-            gap = ald(e, lambdas) - ald_bound(e, lambdas, legacy_applies)
+            gap = ald(e, lambdas) - ald_bound(e, lambdas)
             if gap > 1e-9:
                 violations += 1
             max_gap = max(max_gap, gap)
         elif name == "thm3":
             total = math.fsum(
-                ald_lambda_term(e, t, float(lambdas[t]), legacy_applies)
-                for t in range(e.num_tasks)
+                ald_lambda_term(e, t, float(lambdas[t])) for t in range(e.num_tasks)
             )
             gap = ald(e, lambdas) - total
             if gap > 1e-9:
@@ -415,16 +382,7 @@ def run_suite(
                 violations += 1
             max_gap = max(max_gap, gap)
 
-    entry = {
-        "theorem": name,
-        "trials": trials,
-        "violations": violations,
-        "max_gap": max_gap,
-        "asserted": not legacy_applies,
-    }
-    if legacy_applies:
-        entry["indicator"] = "legacy"
-    return entry
+    return {"theorem": name, "trials": trials, "violations": violations, "max_gap": max_gap}
 
 
 def run_suites(
@@ -433,18 +391,15 @@ def run_suites(
     seed: int = 0,
     dim: int | None = None,
     tasks: int | None = None,
-    legacy_indicator: bool = False,
 ) -> dict:
-    """Run several suites; the top-level violation count covers only
-    asserted entries (legacy-indicator runs are informational). Each suite
-    draws from the same root seed, so a single-suite run reproduces its
-    entry from a combined run."""
-    entries = [run_suite(n, trials, seed, dim, tasks, legacy_indicator) for n in names]
-    asserted_violations = sum(e["violations"] for e in entries if e["asserted"])
+    """Run several suites; the top-level violation count sums every entry's.
+    Each suite draws from the same root seed, so a single-suite run
+    reproduces its entry from a combined run."""
+    entries = [run_suite(n, trials, seed, dim, tasks) for n in names]
     return {
         "seed": seed,
         "trials_per_suite": trials,
-        "violations": asserted_violations,
+        "violations": sum(e["violations"] for e in entries),
         "suites": entries,
     }
 
@@ -455,6 +410,7 @@ def orthogonality_probe(
     """Frequency of bound violations when task vectors are deliberately
     correlated. Records behavior instead of asserting: the bound's proof
     uses orthogonality, so dominance may legitimately fail here."""
+    _check_run(trials, seed)
     rng = np.random.default_rng(seed)
     checked = violations = 0
     max_excess = 0.0
@@ -475,9 +431,15 @@ def orthogonality_probe(
         "pairwise_cos": pairwise_cos,
         "checked": checked,
         "violations": violations,
-        "violation_rate": violations / checked if checked else 0.0,
+        "violation_rate": violations / checked,
         "max_excess": max_excess,
     }
+
+
+def _check_run(trials: int, seed: int) -> None:
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_lambdas(e: QuadraticEnsemble, lambdas) -> np.ndarray:

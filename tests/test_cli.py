@@ -647,12 +647,18 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--suite", "thm1", "--trials", "0")
         assert code == 1
 
-    def test_legacy_indicator_records_without_asserting(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "thm1", "--trials", "5",
+    def test_removed_legacy_indicator_flag_exits_1(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--suite", "thm1", "--trials", "5",
                                "--legacy-indicator")
+        assert code == 1
+        assert "--legacy-indicator" in err
+
+    def test_more_tasks_than_the_default_dim_range(self, capsys):
+        # with no --dim, the drawn dim reaches up to the task count
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--tasks", "129",
+                               "--trials", "1")
         assert code == 0
-        entry = json.loads(out)["suites"][0]
-        assert entry["asserted"] is False
+        assert json.loads(out)["violations"] == 0
 
     def test_dim_tasks_flags(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemma1", "--trials", "3",

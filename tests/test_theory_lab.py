@@ -72,6 +72,11 @@ class TestMakeEnsemble:
         with pytest.raises(ValidationError):
             make_ensemble(5, 4, seed=0)
 
+    @pytest.mark.parametrize("num_tasks,dim", [(0, 4), (4, 4)])
+    def test_correlated_task_count_out_of_range(self, num_tasks, dim):
+        with pytest.raises(ValidationError, match="shared component"):
+            make_correlated_ensemble(num_tasks, dim, seed=0, pairwise_cos=0.5)
+
     def test_invariants(self):
         e = make_ensemble(4, 32, seed=3)
         assert max_pairwise_cos(e) <= 1e-12
@@ -86,6 +91,14 @@ class TestMakeEnsemble:
         for task in e.tasks:
             assert 1.5 <= task.delta <= 1.6
             assert 2.0 <= math.sqrt(task.sq_norm) <= 2.1
+
+    @pytest.mark.parametrize("build", [
+        lambda **kw: make_ensemble(3, 8, 0, **kw),
+        lambda **kw: make_correlated_ensemble(3, 8, 0, 0.5, **kw),
+    ], ids=["orthogonal", "correlated"])
+    def test_nonpositive_ranges_rejected(self, build):
+        with pytest.raises(ValidationError, match="must be positive"):
+            build(delta_range=(-2, -1), norm_range=(0, 0))
 
     def test_correlated_construction_hits_target(self):
         e = make_correlated_ensemble(4, 32, seed=11, pairwise_cos=0.5)
@@ -191,12 +204,6 @@ class TestTldBound:
             for t in range(e.num_tasks):
                 assert exact_tld(e, t, lam) <= tld_bound(e, t, lam) + 1e-9
 
-    def test_legacy_indicator_is_looser_inside_the_box(self):
-        e = make_ensemble(3, 12, seed=15)
-        lam = np.array([0.4, 0.6, 0.2])
-        for t in range(3):
-            assert tld_bound(e, t, lam, legacy_indicator=True) >= tld_bound(e, t, lam)
-
 
 class TestAld:
     def test_single_task_full_lambda_zero(self):
@@ -226,6 +233,13 @@ class TestAldLambdaTerm:
     def test_hand_value(self):
         e = axes_ensemble([1.0, 2.0, 3.0])
         assert ald_lambda_term(e, 2, 0.5) == pytest.approx(2.25, rel=1e-12)
+
+    def test_array_of_candidates_matches_each_float(self):
+        e = make_ensemble(4, 16, seed=25)
+        grid = np.linspace(0.0, 1.0, 101)
+        for t in range(4):
+            expected = [ald_lambda_term(e, t, float(lam)) for lam in grid]
+            np.testing.assert_array_equal(ald_lambda_term(e, t, grid), expected)
 
     def test_vertex_matches_closed_form(self):
         rng = np.random.default_rng(19)
@@ -297,18 +311,12 @@ class TestSuites:
     def test_all_suites_pass(self, name):
         entry = run_suite(name, trials=25, seed=100)
         assert entry["violations"] == 0
-        assert entry["asserted"] is True
         assert entry["trials"] == 25
 
     def test_run_suites_aggregates(self):
         report = run_suites(["thm1", "thm4"], trials=5, seed=0)
         assert len(report["suites"]) == 2
         assert report["violations"] == 0
-
-    def test_legacy_indicator_recorded_not_asserted(self):
-        entry = run_suite("thm1", trials=10, seed=0, legacy_indicator=True)
-        assert entry["asserted"] is False
-        assert entry["indicator"] == "legacy"
 
     def test_reproducible(self):
         a = run_suite("thm2", trials=10, seed=5)
@@ -322,6 +330,22 @@ class TestSuites:
     def test_fixed_dim_and_tasks(self):
         entry = run_suite("thm1", trials=5, seed=1, dim=16, tasks=3)
         assert entry["violations"] == 0
+
+
+@pytest.mark.parametrize("entry_point", [
+    lambda **kw: run_suite("thm1", **kw),
+    orthogonality_probe,
+], ids=["run_suite", "orthogonality_probe"])
+@pytest.mark.parametrize("kwargs", [
+    {"trials": 0, "seed": 0},
+    {"trials": 1, "seed": -1},
+    {"trials": 1, "seed": 1.5},
+    {"trials": 1, "seed": "0"},
+    {"trials": 1, "seed": True},
+], ids=["zero-trials", "negative-seed", "float-seed", "str-seed", "bool-seed"])
+def test_lab_entry_points_reject_bad_trials_and_seed(entry_point, kwargs):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        entry_point(**kwargs)
 
 
 def test_orthogonality_probe_records_behavior():
