@@ -59,7 +59,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("merge", help="run a merge recipe")
     p.add_argument("--recipe", required=True, help="recipe JSON file")
-    p.add_argument("--report", help="also write the report JSON here")
 
     p = sub.add_parser("verify", help="run the theory verification suites")
     p.add_argument("--suite", required=True,
@@ -154,11 +153,7 @@ def cmd_coeffs(args) -> int:
 def cmd_merge(args) -> int:
     recipe = MergeRecipe.from_dict(_load_json(args.recipe, "recipe"))
     _, report = run_recipe(recipe)
-    text = report.to_json(indent=2)
-    if args.report:
-        with open(args.report, "w") as f:
-            f.write(text + "\n")
-    print(text)
+    print(report.to_json(indent=2))
     print(f"merged {report.tensor_count} tensors -> {recipe.output} "
           f"({report.wall_time_s:.2f}s)", file=sys.stderr)
     return EXIT_OK

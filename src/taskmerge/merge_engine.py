@@ -46,6 +46,7 @@ produces byte-identical output files and reports.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -496,6 +497,12 @@ def run_recipe(
     Any failure aborts with no partial output file left behind.
     """
     recipe.validate()
+    # the output replaces its path only after the walk has read every input,
+    # so an output that is an input under another spelling would be lost
+    if os.path.exists(recipe.output):
+        for path in (recipe.base, *(t.path for t in recipe.tasks)):
+            if os.path.exists(path) and os.path.samefile(recipe.output, path):
+                raise RecipeError(f"output {recipe.output} is input {path}")
     t0 = time.perf_counter()
     base = open_checkpoint(recipe.base)
     models = [open_checkpoint(t.path) for t in recipe.tasks]

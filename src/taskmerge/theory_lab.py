@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import metagpt_coefficients
 from .errors import ValidationError
+from .task_vectors import TaskVectorStats
 
 SUITES = ("lemma1", "thm1", "thm2", "thm3", "thm4", "hessian")
 
@@ -136,11 +138,6 @@ def exact_loss(e: QuadraticEnsemble, t: int, theta: np.ndarray) -> float:
     return 0.5 * r * r
 
 
-def grad_loss(e: QuadraticEnsemble, t: int, theta: np.ndarray) -> np.ndarray:
-    task = e.tasks[t]
-    return float(task.g @ (theta - task.theta)) * task.g
-
-
 def merged_theta(e: QuadraticEnsemble, lambdas: np.ndarray) -> np.ndarray:
     """theta0 plus the coefficient-weighted sum of task vectors."""
     lambdas = _check_lambdas(e, lambdas)
@@ -214,9 +211,10 @@ def ald_lambda_term(e: QuadraticEnsemble, t: int, lambda_t):
 
 
 def closed_form_lambda(e: QuadraticEnsemble) -> np.ndarray:
-    """Norm-proportional coefficients ||tau_t||^2 / sum_k ||tau_k||^2."""
-    sq = e.sq_norms
-    return sq / math.fsum(sq)
+    """Norm-proportional coefficients ||tau_t||^2 / sum_k ||tau_k||^2, as the
+    engine's ``metagpt_coefficients`` computes them for a merge."""
+    stats = TaskVectorStats([str(t) for t in range(e.num_tasks)], e.sq_norms.tolist())
+    return np.array(metagpt_coefficients(stats).lambdas)
 
 
 def grid_search_lambda(e: QuadraticEnsemble, step: float = 1e-4) -> np.ndarray:
@@ -231,9 +229,7 @@ def grid_search_lambda(e: QuadraticEnsemble, step: float = 1e-4) -> np.ndarray:
                      for t in range(e.num_tasks)])
 
 
-def verify_hessian_identity(
-    e: QuadraticEnsemble, t: int, fd_step: float = 1e-4, max_pairs: int = 256, seed: int = 0
-) -> dict:
+def verify_hessian_identity(e: QuadraticEnsemble, t: int, seed: int = 0) -> dict:
     """Check the constant-Hessian structure numerically.
 
     Central finite differences of the loss around theta_t are compared to
@@ -244,12 +240,12 @@ def verify_hessian_identity(
     task = e.tasks[t]
     m = e.dim
     theta = task.theta
-    h = fd_step
+    h = 1e-4
 
     pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    if len(pairs) > max_pairs:
+    if len(pairs) > 256:
         rng = np.random.default_rng(seed)
-        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
+        idx = rng.choice(len(pairs), size=256, replace=False)
         pairs = [pairs[k] for k in idx] + [(i, i) for i in range(min(m, 8))]
 
     def loss_at(offset: np.ndarray) -> float:
@@ -272,27 +268,7 @@ def verify_hessian_identity(
         max_err = max(max_err, abs(fd - task.g[i] * task.g[j]))
 
     grad_link = float(np.linalg.norm(task.delta * task.tau - task.g))
-    return {
-        "max_hessian_abs_err": max_err,
-        "grad_link_err": grad_link,
-        "pairs_checked": len(pairs),
-    }
-
-
-def gradient_check(
-    e: QuadraticEnsemble, t: int, theta: np.ndarray, fd_step: float = 1e-6
-) -> float:
-    """Max relative error of the analytic gradient vs central differences."""
-    analytic = grad_loss(e, t, theta)
-    scale = max(float(np.max(np.abs(analytic))), 1e-12)
-    worst = 0.0
-    ei = np.zeros(e.dim)
-    for i in range(e.dim):
-        ei[:] = 0.0
-        ei[i] = fd_step
-        fd = (exact_loss(e, t, theta + ei) - exact_loss(e, t, theta - ei)) / (2 * fd_step)
-        worst = max(worst, abs(fd - analytic[i]) / scale)
-    return worst
+    return {"max_hessian_abs_err": max_err, "grad_link_err": grad_link}
 
 
 # ---------------------------------------------------------------------------

@@ -261,15 +261,41 @@ class TestMerge:
         path.write_text(json.dumps(spec))
         return str(path), spec["output"]
 
-    def test_merge_succeeds_with_report(self, capsys, tmp_path, trio):
+    def test_merge_succeeds(self, capsys, tmp_path, trio):
+        recipe, _ = self.write_recipe(tmp_path, trio)
+        # the second run replaces the first one's output, which is no input
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, "merge", "--recipe", recipe)
+            assert code == 0
+            assert json.loads(out)["coefficients"]["lambdas"] == [0.25, 0.75]
+
+    def test_report_flag_is_unknown(self, capsys, tmp_path, trio):
         recipe, out_path = self.write_recipe(tmp_path, trio)
-        report_path = tmp_path / "report.json"
-        code, out, _ = run_cli(capsys, "merge", "--recipe", recipe,
-                               "--report", str(report_path))
-        assert code == 0
-        report = json.loads(out)
-        assert report["coefficients"]["lambdas"] == [0.25, 0.75]
-        assert json.loads(report_path.read_text()) == report
+        code, _, err = run_cli(capsys, "merge", "--recipe", recipe,
+                               "--report", str(tmp_path / "report.json"))
+        assert code == 1
+        assert "unrecognized arguments: --report" in err
+        assert not os.path.exists(out_path)
+
+    @pytest.mark.parametrize("spelling", ["base", "task", "dot-segment", "symlink"])
+    def test_output_that_is_an_input_exits_1(self, capsys, tmp_path, trio, spelling):
+        base, m1, _ = trio
+        victim = m1 if spelling == "task" else base
+        output = {
+            "base": base,
+            "task": m1,
+            "dot-segment": f"{tmp_path}/./base.st",
+            "symlink": str(tmp_path / "link.st"),
+        }[spelling]
+        if spelling == "symlink":
+            os.symlink(base, output)
+        before = Path(victim).read_bytes()
+        recipe, _ = self.write_recipe(tmp_path, trio, output=output)
+        code, out, err = run_cli(capsys, "merge", "--recipe", recipe)
+        assert (code, out) == (1, "")
+        assert f"output {output} is input {victim}" in err
+        assert Path(victim).read_bytes() == before
+        assert not list(tmp_path.glob("*.partial"))
 
     @pytest.mark.parametrize("method", COEFFICIENT_METHODS)
     def test_report_coefficients_carry_the_recipe_method(self, capsys, tmp_path, trio, method):
