@@ -200,10 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     except RecipeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, ValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
+    except (FormatError, ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -25,8 +25,6 @@ from .coefficients import metagpt_coefficients
 from .errors import ValidationError
 from .task_vectors import TaskVectorStats
 
-SUITES = ("lemma1", "thm1", "thm2", "thm3", "thm4", "hessian")
-
 
 @dataclass
 class QuadraticTask:
@@ -119,16 +117,6 @@ def _random_ensemble(
         tau = q[:, t] * norms[t]
         tasks.append(QuadraticTask(theta0 + tau, tau, float(deltas[t]), deltas[t] * tau))
     return QuadraticEnsemble(theta0, tasks)
-
-
-def max_pairwise_cos(e: QuadraticEnsemble) -> float:
-    worst = 0.0
-    for i in range(e.num_tasks):
-        for j in range(i + 1, e.num_tasks):
-            ti, tj = e.tasks[i].tau, e.tasks[j].tau
-            c = abs(float(ti @ tj)) / math.sqrt((ti @ ti) * (tj @ tj))
-            worst = max(worst, c)
-    return worst
 
 
 def exact_loss(e: QuadraticEnsemble, t: int, theta: np.ndarray) -> float:
@@ -242,11 +230,19 @@ def verify_hessian_identity(e: QuadraticEnsemble, t: int, seed: int = 0) -> dict
     theta = task.theta
     h = 1e-4
 
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    if len(pairs) > 256:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(pairs), size=256, replace=False)
-        pairs = [pairs[k] for k in idx] + [(i, i) for i in range(min(m, 8))]
+    # the pairs (i, j), i <= j, numbered row by row; row i starts at
+    # starts[i], so a sampled number maps back to its pair without listing
+    # all m(m+1)/2 of them
+    count = m * (m + 1) // 2
+    if count > 256:
+        idx = np.random.default_rng(seed).choice(count, size=256, replace=False)
+        diagonal = [(i, i) for i in range(min(m, 8))]
+    else:
+        idx, diagonal = np.arange(count), []
+    rows = np.arange(m)
+    starts = rows * m - rows * (rows - 1) // 2
+    i_of = np.searchsorted(starts, idx, side="right") - 1
+    pairs = list(zip(i_of.tolist(), (i_of + idx - starts[i_of]).tolist())) + diagonal
 
     def loss_at(offset: np.ndarray) -> float:
         return exact_loss(e, t, theta + offset)
@@ -294,9 +290,52 @@ def _draw_ensemble(rng: np.random.Generator, dim: int | None, tasks: int | None)
     most = 8 if dim is None else min(8, dim)
     t = tasks if tasks is not None else int(rng.integers(min(2, most), most + 1))
     m = dim if dim is not None else int(rng.integers(max(8, t), max(128, t) + 1))
-    if m < t:
-        raise ValidationError(f"--dim {m} is smaller than --tasks {t}")
     return make_ensemble(t, m, seed=int(rng.integers(0, 2**63)))
+
+
+def _lemma1(e: QuadraticEnsemble, lambdas: np.ndarray, rng: np.random.Generator):
+    # merged minus fine-tuned is h_t, and the two loss-difference routes agree
+    merged = merged_theta(e, lambdas)
+    for t in range(e.num_tasks):
+        ident = float(np.linalg.norm((merged - e.tasks[t].theta) - h_vector(e, t, lambdas)))
+        ok, gap = _routes_agree(exact_tld(e, t, lambdas), tld_quadratic(e, t, lambdas))
+        yield ok and ident <= 1e-12, gap
+
+
+def _thm1(e: QuadraticEnsemble, lambdas: np.ndarray, rng: np.random.Generator):
+    for t in range(e.num_tasks):
+        gap = exact_tld(e, t, lambdas) - tld_bound(e, t, lambdas)
+        yield gap <= 1e-9, gap
+
+
+def _thm2(e: QuadraticEnsemble, lambdas: np.ndarray, rng: np.random.Generator):
+    gap = ald(e, lambdas) - ald_bound(e, lambdas)
+    yield gap <= 1e-9, gap
+
+
+def _thm3(e: QuadraticEnsemble, lambdas: np.ndarray, rng: np.random.Generator):
+    total = math.fsum(ald_lambda_term(e, t, float(lambdas[t])) for t in range(e.num_tasks))
+    gap = ald(e, lambdas) - total
+    yield gap <= 1e-9, gap
+
+
+def _thm4(e: QuadraticEnsemble, lambdas: np.ndarray, rng: np.random.Generator):
+    step = 1e-4
+    gap = float(np.max(np.abs(closed_form_lambda(e) - grid_search_lambda(e, step))))
+    yield gap <= step, gap
+
+
+def _hessian(e: QuadraticEnsemble, lambdas: np.ndarray, rng: np.random.Generator):
+    t = int(rng.integers(0, e.num_tasks))
+    res = verify_hessian_identity(e, t, seed=int(rng.integers(0, 2**63)))
+    err, link = res["max_hessian_abs_err"], res["grad_link_err"]
+    yield err <= 1e-4 and link <= 1e-14, max(err, link)
+
+
+#: each suite's per-trial check yields one (ok, gap) pair per assertion
+_CHECKS = {"lemma1": _lemma1, "thm1": _thm1, "thm2": _thm2, "thm3": _thm3, "thm4": _thm4,
+           "hessian": _hessian}
+SUITES = tuple(_CHECKS)
 
 
 def run_suite(
@@ -313,51 +352,14 @@ def run_suite(
     rng = np.random.default_rng(seed)
     violations = 0
     max_gap = -math.inf
-
     for _ in range(trials):
+        # every suite draws the ensemble and the coefficients, in this order,
+        # before its check draws anything
         e = _draw_ensemble(rng, dim, tasks)
         lambdas = rng.uniform(0.0, 1.0, size=e.num_tasks)
-        if name == "lemma1":
-            merged = merged_theta(e, lambdas)
-            for t in range(e.num_tasks):
-                ident = float(np.linalg.norm((merged - e.tasks[t].theta) - h_vector(e, t, lambdas)))
-                ok, gap = _routes_agree(exact_tld(e, t, lambdas), tld_quadratic(e, t, lambdas))
-                if not ok or ident > 1e-12:
-                    violations += 1
-                max_gap = max(max_gap, gap)
-        elif name == "thm1":
-            for t in range(e.num_tasks):
-                gap = exact_tld(e, t, lambdas) - tld_bound(e, t, lambdas)
-                if gap > 1e-9:
-                    violations += 1
-                max_gap = max(max_gap, gap)
-        elif name == "thm2":
-            gap = ald(e, lambdas) - ald_bound(e, lambdas)
-            if gap > 1e-9:
-                violations += 1
+        for ok, gap in _CHECKS[name](e, lambdas, rng):
+            violations += not ok
             max_gap = max(max_gap, gap)
-        elif name == "thm3":
-            total = math.fsum(
-                ald_lambda_term(e, t, float(lambdas[t])) for t in range(e.num_tasks)
-            )
-            gap = ald(e, lambdas) - total
-            if gap > 1e-9:
-                violations += 1
-            max_gap = max(max_gap, gap)
-        elif name == "thm4":
-            step = 1e-4
-            gap = float(np.max(np.abs(closed_form_lambda(e) - grid_search_lambda(e, step))))
-            if gap > step:
-                violations += 1
-            max_gap = max(max_gap, gap)
-        elif name == "hessian":
-            t = int(rng.integers(0, e.num_tasks))
-            res = verify_hessian_identity(e, t, seed=int(rng.integers(0, 2**63)))
-            gap = max(res["max_hessian_abs_err"], res["grad_link_err"])
-            if res["max_hessian_abs_err"] > 1e-4 or res["grad_link_err"] > 1e-14:
-                violations += 1
-            max_gap = max(max_gap, gap)
-
     return {"theorem": name, "trials": trials, "violations": violations, "max_gap": max_gap}
 
 
@@ -377,38 +379,6 @@ def run_suites(
         "trials_per_suite": trials,
         "violations": sum(e["violations"] for e in entries),
         "suites": entries,
-    }
-
-
-def orthogonality_probe(
-    trials: int = 200, seed: int = 0, pairwise_cos: float = 0.5
-) -> dict:
-    """Frequency of bound violations when task vectors are deliberately
-    correlated. Records behavior instead of asserting: the bound's proof
-    uses orthogonality, so dominance may legitimately fail here."""
-    _check_run(trials, seed)
-    rng = np.random.default_rng(seed)
-    checked = violations = 0
-    max_excess = 0.0
-    for _ in range(trials):
-        t_count = int(rng.integers(2, 7))
-        m = int(rng.integers(t_count + 1, 65))
-        e = make_correlated_ensemble(
-            t_count, m, seed=int(rng.integers(0, 2**63)), pairwise_cos=pairwise_cos
-        )
-        lambdas = rng.uniform(0.0, 1.0, size=t_count)
-        for t in range(t_count):
-            checked += 1
-            gap = exact_tld(e, t, lambdas) - tld_bound(e, t, lambdas)
-            if gap > 1e-9:
-                violations += 1
-                max_excess = max(max_excess, gap)
-    return {
-        "pairwise_cos": pairwise_cos,
-        "checked": checked,
-        "violations": violations,
-        "violation_rate": violations / checked,
-        "max_excess": max_excess,
     }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,7 @@ from taskmerge.theory_lab import (
     h_vector,
     make_correlated_ensemble,
     make_ensemble,
-    max_pairwise_cos,
     merged_theta,
-    orthogonality_probe,
     run_suite,
     run_suites,
     tld_bound,
@@ -53,7 +52,8 @@ def axes_ensemble(norms, deltas=None, dim=None):
 class TestMakeEnsemble:
     def test_plane_orthogonality(self):
         e = make_ensemble(2, 2, seed=0)
-        assert max_pairwise_cos(e) <= 1e-12
+        u = np.array([t.tau / math.sqrt(t.sq_norm) for t in e.tasks])
+        assert np.max(np.abs(u @ u.T - np.eye(2))) <= 1e-12
 
     def test_single_task(self):
         e = make_ensemble(1, 5, seed=1)
@@ -78,7 +78,8 @@ class TestMakeEnsemble:
 
     def test_invariants(self):
         e = make_ensemble(4, 32, seed=3)
-        assert max_pairwise_cos(e) <= 1e-12
+        u = np.array([t.tau / math.sqrt(t.sq_norm) for t in e.tasks])
+        assert np.max(np.abs(u @ u.T - np.eye(4))) <= 1e-12
         for t, task in enumerate(e.tasks):
             np.testing.assert_allclose(task.g, task.delta * task.tau, rtol=1e-14)
             assert exact_loss(e, t, task.theta) == 0.0
@@ -291,6 +292,17 @@ class TestHessianIdentity:
             res = verify_hessian_identity(e, t, seed=trial)
             assert res["max_hessian_abs_err"] < 1e-4
 
+    def test_sampling_memory_is_linear_in_dim(self):
+        # m(m+1)/2 = 2,001,000 candidate pairs; listing them all took 183 MiB
+        e = make_ensemble(1, 2000, seed=0)
+        tracemalloc.start()
+        try:
+            verify_hessian_identity(e, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestSuites:
     @pytest.mark.parametrize("name", ["lemma1", "thm1", "thm2", "thm3", "thm4", "hessian"])
@@ -327,24 +339,16 @@ class TestSuites:
 
 @pytest.mark.parametrize("entry_point", [
     lambda **kw: run_suite("thm1", **kw),
-    orthogonality_probe,
-], ids=["run_suite", "orthogonality_probe"])
-@pytest.mark.parametrize("kwargs", [
-    {"trials": 0, "seed": 0},
-    {"trials": 1, "seed": -1},
-    {"trials": 1, "seed": 1.5},
-    {"trials": 1, "seed": "0"},
-    {"trials": 1, "seed": True},
-], ids=["zero-trials", "negative-seed", "float-seed", "str-seed", "bool-seed"])
-def test_lab_entry_points_reject_bad_trials_and_seed(entry_point, kwargs):
-    with pytest.raises(ValidationError, match="must be an integer"):
+], ids=["run_suite"])
+@pytest.mark.parametrize("kwargs,match", [
+    ({"trials": 0, "seed": 0}, "must be an integer"),
+    ({"trials": 1, "seed": -1}, "must be an integer"),
+    ({"trials": 1, "seed": 1.5}, "must be an integer"),
+    ({"trials": 1, "seed": "0"}, "must be an integer"),
+    ({"trials": 1, "seed": True}, "must be an integer"),
+    ({"trials": 1, "seed": 0, "dim": 4, "tasks": 6}, "need 1 <= T <= m"),
+], ids=["zero-trials", "negative-seed", "float-seed", "str-seed", "bool-seed",
+        "more-tasks-than-dim"])
+def test_lab_entry_points_reject_bad_trials_and_seed(entry_point, kwargs, match):
+    with pytest.raises(ValidationError, match=match):
         entry_point(**kwargs)
-
-
-def test_orthogonality_probe_records_behavior():
-    res = orthogonality_probe(trials=100, seed=0, pairwise_cos=0.5)
-    assert res["checked"] > 0
-    assert 0.0 <= res["violation_rate"] <= 1.0
-    # correlated vectors are expected to break the bound at least sometimes;
-    # record, do not assert dominance
-    assert res["pairwise_cos"] == 0.5
