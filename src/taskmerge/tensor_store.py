@@ -23,7 +23,8 @@ number of pieces, ``write`` takes it whole.
 Scratch arrays hold one chunk, so no full-size temporary is made. A value is
 inf or NaN exactly when its exponent bits are all ones, so the read check
 runs on the stored bits before any cast (a signaling NaN never reaches a
-float cast), and the overflow check on the narrowed bits.
+float cast), and the overflow check on the narrowed bits; each check is two
+reductions and writes no mask.
 """
 
 from __future__ import annotations
@@ -116,13 +117,19 @@ class CheckpointHandle:
         return sum(m.num_elements for m in self.index.values())
 
 
-def _any_nonfinite(bits: np.ndarray, exponent: int, scratch: np.ndarray) -> bool:
-    """True if some element of *bits* has every exponent bit set (inf or NaN).
+def _any_nonfinite(bits: np.ndarray, exponent: int) -> bool:
+    """True if some element of the unsigned *bits* has every exponent bit set
+    (inf or NaN), found by two reductions that write nothing.
 
-    A masked value never exceeds the mask, so the maximum equals the mask
-    exactly when some element has all of its bits.
+    The exponent bits are the highest below the sign bit, so a positive
+    value has them all exactly when it is at least *exponent*, and a
+    negative one exactly when its unsigned bits are at least ``sign |
+    exponent``. Viewed as signed, every negative value is below *exponent*,
+    and unsigned, every positive one is below ``sign | exponent``.
     """
-    return np.bitwise_and(bits, exponent, out=scratch[: bits.size]).max() == exponent
+    sign = 1 << (8 * bits.itemsize - 1)
+    signed = bits.view(f"<i{bits.itemsize}")
+    return int(signed.max()) >= exponent or int(bits.max()) >= sign | exponent
 
 
 def _encode(values: np.ndarray, dtype: str, name: str) -> np.ndarray:
@@ -131,8 +138,7 @@ def _encode(values: np.ndarray, dtype: str, name: str) -> np.ndarray:
     storage, unsigned, exponent = _LAYOUT[dtype]
     out = np.empty(values.size, dtype=storage)
     bits = out.view(unsigned)
-    mask = np.empty(min(values.size, _CHUNK), dtype=unsigned)
-    wide = np.empty(mask.size, dtype=np.uint32) if dtype == "BF16" else None
+    wide = np.empty(min(values.size, _CHUNK), dtype=np.uint32) if dtype == "BF16" else None
     for lo in range(0, values.size, _CHUNK):
         hi = min(lo + _CHUNK, values.size)
         with np.errstate(over="ignore"):
@@ -148,7 +154,7 @@ def _encode(values: np.ndarray, dtype: str, name: str) -> np.ndarray:
                 w += 0x7FFF
                 w >>= 16
                 top[...] = w
-        if _any_nonfinite(bits[lo:hi], exponent, mask):
+        if _any_nonfinite(bits[lo:hi], exponent):
             raise ValidationError(f"tensor '{name}': overflow for dtype {dtype}")
     return out
 
@@ -292,16 +298,13 @@ class RangeReader:
         chunk at a time, after checking each chunk's bits for inf and NaN."""
         handle = self.handles[i]
         dtype = handle.index[name].dtype
-        storage, unsigned, exponent = _LAYOUT[dtype]
-        # BF16 widens through uint32 scratch, whose first half also serves
-        # as the check's mask
-        m = min(hi - lo, self._step)
-        wide = np.empty(m, dtype=np.uint32) if dtype == "BF16" else None
-        mask = np.empty(m, dtype=unsigned) if wide is None else wide.view(unsigned)
+        storage, _, exponent = _LAYOUT[dtype]
+        # BF16 widens through uint32 scratch
+        wide = np.empty(min(hi - lo, self._step), dtype=np.uint32) if dtype == "BF16" else None
         for start in range(lo, hi, self._step):
             stop = min(start + self._step, hi)
             bits = read_payload(handle, name, start, stop, self._files[i], self._raw)
-            if _any_nonfinite(bits, exponent, mask):
+            if _any_nonfinite(bits, exponent):
                 raise ValidationError(f"{handle.path}: non-finite value in '{name}'")
             piece = out[start - lo : stop - lo]
             if wide is None:
@@ -426,10 +429,12 @@ class CheckpointWriter:
                 raise ValidationError(
                     f"tensor '{name}': more than {size} values for shape {list(declared)}"
                 )
-            # this pass, not _encode, is what rejects NaN: rounding to BF16
+            # this check, not _encode, is what rejects NaN: rounding to BF16
             # carries a float32 NaN of all-ones payload into the sign bit, so
-            # _encode alone would write it as -0.0 (and its negative as +0.0)
-            if not np.isfinite(values).all():
+            # _encode alone would write it as -0.0 (and its negative as +0.0).
+            # max and min propagate NaN, so two reductions see every inf and
+            # NaN with no mask array
+            if values.size and not (np.isfinite(values.max()) and np.isfinite(values.min())):
                 raise ValidationError(f"tensor '{name}': non-finite value")
             encoded = _encode(values, dtype, name)
         except Exception:
@@ -456,7 +461,11 @@ class CheckpointWriter:
             )
         self._file.close()
         self._file = None
-        os.replace(self._tmp_path, self.path)
+        try:
+            os.replace(self._tmp_path, self.path)
+        except BaseException:
+            os.unlink(self._tmp_path)
+            raise
 
     def abort(self) -> None:
         if self._file is not None:

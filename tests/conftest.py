@@ -14,7 +14,7 @@ SCRATCH = 1 << 20
 # Traced peaks of a walk node by node, in bytes: the node-sized float64
 # arrays (base and diff, plus the sum when merging), one chunk of stored
 # bytes, and the scratch of the codec, the reduction and the draws. Taken
-# from the measured peaks, 2.18-2.29 MiB for plain and DARE merges and
+# from the measured peaks, 2.02-2.11 MiB for plain and DARE merges and
 # 1.42-1.53 MiB for compute_stats without the Gram matrix, at 2**20 and
 # 2**22 elements alike. The Gram matrix decodes each task's diff into a
 # float64 row of a node of its own, one row more per task past the first.
@@ -23,7 +23,7 @@ SCRATCH = 1 << 20
 # measured, BF16 and F32, one to eight tasks, 2**20 and 2**22 elements). A
 # peak more than NODE_PEAK_SLACK below its figure fails too, so the figure
 # stays tight.
-NODE_MERGE_PEAK = 39 << 16  # 2.4375 MiB
+NODE_MERGE_PEAK = 35 << 16  # 2.1875 MiB
 NODE_STATS_PEAK = 13 << 17  # 1.625 MiB
 TIES_PEAK = 37 << 16  # 2.3125 MiB
 NODE_PEAK_SLACK = 3 << 17  # 384 KiB

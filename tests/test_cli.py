@@ -297,6 +297,34 @@ class TestMerge:
         assert Path(victim).read_bytes() == before
         assert not list(tmp_path.glob("*.partial"))
 
+    def test_output_that_is_a_directory_exits_2_and_leaves_no_partial(self, capsys, tmp_path,
+                                                                       trio):
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        recipe, _ = self.write_recipe(tmp_path, trio, output=str(adir))
+        code, out, err = run_cli(capsys, "merge", "--recipe", recipe)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert list(adir.iterdir()) == []
+        assert not list(tmp_path.glob("*.partial"))
+
+    @pytest.mark.parametrize("where", ["base", "output", "task"])
+    def test_nul_in_a_path_exits_1(self, capsys, tmp_path, trio, where):
+        base, m1, m2 = trio
+        overrides = {
+            "base": {"base": base + "\0"},
+            "output": {"output": str(tmp_path / "o\0ut.st")},
+            "task": {"tasks": [{"id": "t1", "path": m1}, {"id": "t2", "path": "m\0" + m2}]},
+        }[where]
+        recipe, _ = self.write_recipe(tmp_path, trio, **overrides)
+        code, out, err = run_cli(capsys, "merge", "--recipe", recipe)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "contains a NUL character" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "base.st", "m1.st", "m2.st", "recipe.json"
+        ]
+
     @pytest.mark.parametrize("method", COEFFICIENT_METHODS)
     def test_report_coefficients_carry_the_recipe_method(self, capsys, tmp_path, trio, method):
         recipe, _ = self.write_recipe(tmp_path, trio, method=method)

@@ -20,7 +20,13 @@ from taskmerge import (
     write_checkpoint,
 )
 
-from taskmerge.tensor_store import _CHUNK, DTYPE_SIZES, RangeReader, read_payload
+from taskmerge.tensor_store import (
+    _CHUNK,
+    DTYPE_SIZES,
+    RangeReader,
+    _any_nonfinite,
+    read_payload,
+)
 
 from conftest import write_ckpt
 from dense_reference import read_checkpoint_dense
@@ -332,6 +338,49 @@ class TestReadDecode:
             read_tensor(open_checkpoint(p), "zzz")
 
 
+def exponent_all_ones(bits, exponent):
+    """The definition of inf and NaN: every exponent bit of the pattern is set."""
+    return (bits & exponent) == exponent
+
+
+class TestNonfiniteCheck:
+    """``_any_nonfinite`` against its definition, pattern by pattern."""
+
+    def check_each(self, patterns, exponent):
+        got = [_any_nonfinite(patterns[i : i + 1], exponent) for i in range(patterns.size)]
+        assert got == exponent_all_ones(patterns, exponent).tolist()
+
+    @pytest.mark.parametrize("dtype", ["F16", "BF16"])
+    def test_every_16_bit_pattern(self, dtype):
+        unsigned, exponent, _ = STORED_BITS[dtype]
+        patterns = np.arange(1 << 16, dtype=unsigned)
+        self.check_each(patterns, exponent)
+        nonfinite = exponent_all_ones(patterns, exponent)
+        assert not _any_nonfinite(patterns[~nonfinite], exponent)
+        assert _any_nonfinite(patterns, exponent)
+
+    def test_f32_patterns_near_each_sign_and_exponent_boundary(self):
+        unsigned, exponent, lowest = STORED_BITS["F32"]
+        edges = [(s << 31) | (e * lowest) for s in (0, 1) for e in range(256)]
+        near = sorted({(edge + d) % 2**32 for edge in edges for d in range(-2, 3)})
+        self.check_each(np.array(near, dtype=unsigned), exponent)
+
+    def test_f32_random_patterns(self):
+        unsigned, exponent, _ = STORED_BITS["F32"]
+        rng = np.random.default_rng(32)
+        patterns = rng.integers(0, 2**32, 1 << 12, dtype=np.uint64).astype(unsigned)
+        self.check_each(patterns, exponent)
+        # a chunk of finite patterns, and the same chunk with one of them
+        # replaced by each kind of inf and NaN, anywhere in it
+        chunk = rng.integers(0, 2**32, _CHUNK, dtype=np.uint64).astype(unsigned)
+        chunk = chunk[~exponent_all_ones(chunk, exponent)]
+        assert not _any_nonfinite(chunk, exponent)
+        for bits in NONFINITE_BITS["F32"].values():
+            poisoned = chunk.copy()
+            poisoned[rng.integers(chunk.size)] = bits
+            assert _any_nonfinite(poisoned, exponent)
+
+
 class TestWrite:
     def test_roundtrip_simple(self, tmp_path):
         p = write_ckpt(tmp_path / "c.st", {"x": np.array([3.0])})
@@ -564,6 +613,30 @@ class TestWriterAppend:
             w.append("a", (_CHUNK + 9,), values[5:_CHUNK + 2])
         assert str(caught.value) == message
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
+    def test_nonfinite_piece_rejected(self, tmp_path, dtype, bad, at):
+        w = CheckpointWriter(str(tmp_path / "c.st"), [("a", (3,), dtype)])
+        values = np.array([1.5, -2.0, 0.25])
+        values[at] = bad
+        with pytest.raises(ValidationError) as caught:
+            w.append("a", (3,), values)
+        assert str(caught.value) == "tensor 'a': non-finite value"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_pieces_are_taken(self, tmp_path):
+        specs = [("a", (2,), "BF16"), ("b", (0,), "F32")]
+        w = CheckpointWriter(str(tmp_path / "pieces.st"), specs)
+        for piece in (np.empty(0), np.array([1.5, -2.0]), np.empty(0)):
+            w.append("a", (2,), piece)
+        w.append("b", (0,), np.empty(0))
+        w.close()
+        whole = tmp_path / "whole.st"
+        write_checkpoint(str(whole), [(TensorBuffer("a", (2,), np.array([1.5, -2.0])), "BF16"),
+                                      (TensorBuffer("b", (0,), np.empty(0)), "F32")])
+        assert (tmp_path / "pieces.st").read_bytes() == whole.read_bytes()
 
 
 class TestCompatibility:
