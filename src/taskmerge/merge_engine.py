@@ -316,9 +316,9 @@ def dare_transform(
     tensor_name) is below ``drop_threshold(p)``, which is the same as its
     uniform z_e * 2**-64 being below p. Dropped elements become
     +0.0, and each survivor is divided once by (1 - p). The array is walked
-    in blocks of ``CHUNK`` elements, and the draws, their scratch and the
-    drop mask are made once per call, one block each. p = 0 changes nothing
-    and draws no stream. The result is unbiased in expectation.
+    in blocks of ``CHUNK`` elements, so the draws and the drop mask never
+    take more than one block's memory. p = 0 changes nothing and draws no
+    stream. The result is unbiased in expectation.
     """
     if not 0.0 <= p < 1.0:
         raise ValidationError(f"drop probability out of range [0, 1): {p}")
@@ -328,17 +328,13 @@ def dare_transform(
     # a numpy scalar: numpy 1.x compares uint64 with a Python int above 2**63
     # as float64, which would move the threshold
     threshold = np.uint64(drop_threshold(p))
-    m = min(values.size, CHUNK)
-    draws, tmp, drop = np.empty(m, np.uint64), np.empty(m, np.uint64), np.empty(m, bool)
     for start in range(0, values.size, CHUNK):
         block = values[start : start + CHUNK]
-        k = block.size
-        z = uniform_stream(stream, k, offset + start, out=draws[:k], tmp=tmp[:k])
-        np.less(z, threshold, out=drop[:k])
+        drop = uniform_stream(stream, block.size, offset + start) < threshold
         block /= 1.0 - p
         # putmask, not block[drop] = 0.0: the boolean-index assignment is
         # about a third slower on masks this dense
-        np.putmask(block, drop[:k], 0.0)
+        np.putmask(block, drop, 0.0)
 
 
 def _walk(
@@ -547,10 +543,10 @@ def run_recipe(
         writer = CheckpointWriter(recipe.output, specs, metadata=base.metadata)
         try:
             _walk(reader, recipe, selections, norms=norms, combine=(coeffs.lambdas, writer))
-            writer.close()
         except Exception:
             writer.abort()
             raise
+    writer.close()
 
     merge_report = MergeReport(
         recipe=recipe.to_dict(),

@@ -69,13 +69,7 @@ def _splitmix64_mix(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= tmp
 
 
-def uniform_stream(
-    seed: int,
-    count: int,
-    offset: int = 0,
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
-) -> np.ndarray:
+def uniform_stream(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Draws ``offset .. offset+count-1`` of the SplitMix64 stream, as uint64.
 
     Draw ``z`` stands for the uniform ``float64(z) * 2**-64``; compare draws
@@ -83,15 +77,10 @@ def uniform_stream(
     exactly 1.0 for every draw >= 2**64 - 1024, and the threshold accounts
     for such rounding, so there is no float range to check. The draws are
     mixed ``CHUNK`` at a time in the output array itself; the only other
-    memory is one uint64 scratch array of at most ``CHUNK`` elements. A
-    caller that draws often passes both: *out*, uint64 of *count* elements,
-    which is filled and returned, and *tmp*, uint64 of at least
-    ``min(count, CHUNK)``.
+    memory is one uint64 scratch array of at most ``CHUNK`` elements.
     """
-    if out is None:
-        out = np.empty(count, dtype=np.uint64)
-    if tmp is None:
-        tmp = np.empty(min(count, CHUNK), dtype=np.uint64)
+    out = np.empty(count, dtype=np.uint64)
+    tmp = np.empty(min(count, CHUNK), dtype=np.uint64)
     for start in range(0, count, CHUNK):
         m = min(CHUNK, count - start)
         zc = out[start : start + m]

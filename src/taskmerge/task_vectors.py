@@ -108,15 +108,10 @@ def fold(n: int, sums: Iterable[float], limit: int = _CHUNK) -> float:
 
 def blocked_dot(a: np.ndarray, b: np.ndarray) -> float:
     """``float(np.sum(a * b))`` bit for bit, for flat float64 arrays of one
-    size, with the products made one leaf of at most ``_LEAF`` at a time.
-    When *a* is *b* each leaf is squared, which reads one input, not two."""
+    size, with the products made one leaf of at most ``_LEAF`` at a time."""
     # np.add.reduce is the reduction np.sum runs, without its Python wrapper
     leaves = split(a.size, _LEAF)
-    if a is b:
-        products = (np.square(a[lo:hi]) for lo, hi in leaves)
-    else:
-        products = (a[lo:hi] * b[lo:hi] for lo, hi in leaves)
-    return fold(a.size, (float(np.add.reduce(p)) for p in products), _LEAF)
+    return fold(a.size, (float(np.add.reduce(a[lo:hi] * b[lo:hi])) for lo, hi in leaves), _LEAF)
 
 
 def read_diff(

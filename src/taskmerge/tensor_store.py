@@ -459,13 +459,13 @@ class CheckpointWriter:
             raise ValidationError(
                 f"only {self._next} of {len(self._order)} declared tensors written"
             )
-        self._file.close()
-        self._file = None
         try:
+            self._file.close()
             os.replace(self._tmp_path, self.path)
         except BaseException:
-            os.unlink(self._tmp_path)
+            self.abort()
             raise
+        self._file = None
 
     def abort(self) -> None:
         if self._file is not None:

@@ -1333,9 +1333,9 @@ class TestRunRecipe:
         draws = []
         real_stream = merge_engine.uniform_stream
 
-        def counting_stream(seed, count, offset=0, out=None, tmp=None):
+        def counting_stream(seed, count, offset=0):
             draws.append(count)
-            return real_stream(seed, count, offset, out=out, tmp=tmp)
+            return real_stream(seed, count, offset)
 
         monkeypatch.setattr(merge_engine, "uniform_stream", counting_stream)
         base_p, model_ps = family(

@@ -46,11 +46,6 @@ def test_stream_matches_scalar_reference(seed, count, offset):
     got = uniform_stream(seed, count, offset)
     assert got.dtype == np.uint64 and got.shape == (count,)
     assert got.tobytes() == reference_stream(seed, count, offset).tobytes()
-    # the same draws into arrays the caller gives, which are filled in place
-    out = np.full(count, 7, dtype=np.uint64)
-    tmp = np.empty(min(count, CHUNK) + 3, dtype=np.uint64)
-    assert uniform_stream(seed, count, offset, out=out, tmp=tmp) is out
-    assert out.tobytes() == got.tobytes()
 
 
 # draws whose uniforms round up to 1.0 (the first two), the largest draw

@@ -626,6 +626,14 @@ class TestWriterAppend:
         assert str(caught.value) == "tensor 'a': non-finite value"
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_checkpoint(str(adir), [(TensorBuffer("a", (1,), np.array([1.5])), "F32")])
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+        assert list(adir.iterdir()) == []
+
     def test_empty_pieces_are_taken(self, tmp_path):
         specs = [("a", (2,), "BF16"), ("b", (0,), "F32")]
         w = CheckpointWriter(str(tmp_path / "pieces.st"), specs)
