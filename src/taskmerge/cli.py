@@ -2,7 +2,8 @@
 
 All machine-readable output goes to stdout as JSON; diagnostics go to
 stderr. Exit codes: 0 success, 1 usage or schema error, 2 data/validation
-error, 3 invariant violation (verify only). Unknown flags are rejected.
+error, 3 invariant violation (verify only), 143 stopped by SIGTERM. Unknown
+flags are rejected.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
+import threading
 
 from . import jsonutil, theory_lab
 from .coefficients import COEFFICIENT_METHODS, NORM_FREE_METHODS, NORM_METHODS
@@ -190,11 +193,20 @@ _HANDLERS = {
 }
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "inspect" and not args.path:
         parser.error("inspect needs a non-empty PATH")
+    # SIGTERM (from `timeout` or a job scheduler) unwinds like Ctrl-C, so a
+    # merge removes its temp file, and the process exits 143. Only the main
+    # thread may set a signal handler.
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal) if on_main else None
     try:
         return _HANDLERS[args.command](args)
     except RecipeError as e:
@@ -203,6 +215,11 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if on_main:
+            # a handler set outside Python reads as None; SIG_DFL is the
+            # closest one that can be put back
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 if __name__ == "__main__":

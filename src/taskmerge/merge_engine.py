@@ -498,7 +498,8 @@ def run_recipe(
 ) -> tuple[CheckpointHandle, MergeReport]:
     """Execute a merge recipe; returns the output handle and its report.
 
-    Any failure aborts with no partial output file left behind.
+    An output that cannot be created fails before any tensor is read; any
+    later failure, an interrupt included, leaves no partial output file.
     """
     recipe.validate()
     # the output replaces its path only after the walk has read every input,
@@ -533,20 +534,15 @@ def run_recipe(
         (name, meta.shape, "F32" if recipe.output_dtype == "F32" else meta.dtype)
         for name, meta in base.index.items()
     ]
-    with RangeReader([base, *models]) as reader:
+    writer = CheckpointWriter(recipe.output, specs, metadata=base.metadata)
+    with writer, RangeReader([base, *models]) as reader:
         if coeffs is None:
             # the coefficients read norms: take them all before combining
             _walk(reader, recipe, selections, norms=norms)
             use_raw = recipe.norm_source == "raw" or transformed is None
             coeffs = NORM_METHODS[recipe.method]((raw if use_raw else transformed).finalize())
             norms = None
-        writer = CheckpointWriter(recipe.output, specs, metadata=base.metadata)
-        try:
-            _walk(reader, recipe, selections, norms=norms, combine=(coeffs.lambdas, writer))
-        except Exception:
-            writer.abort()
-            raise
-    writer.close()
+        _walk(reader, recipe, selections, norms=norms, combine=(coeffs.lambdas, writer))
 
     merge_report = MergeReport(
         recipe=recipe.to_dict(),

@@ -346,9 +346,9 @@ class CheckpointWriter:
     Tensors must be supplied in sorted-name order (the declared layout),
     each whole (``write``) or in pieces (``append``).
     Data lands in a temp file ``<path>.<hex>.partial`` that is atomically
-    renamed on close, so an aborted write never leaves a partial checkpoint
-    behind. Nothing removes the temp file of a killed process: a sweep could
-    not tell it from a live writer's.
+    renamed on close; used in a ``with``, the writer removes it on any
+    exception, interrupts included. Nothing removes the temp file of a
+    killed process: a sweep could not tell it from a live writer's.
     """
 
     def __init__(
@@ -392,8 +392,11 @@ class CheckpointWriter:
         # "x" creates the file with the umask's mode, as "w" would
         self._tmp_path = f"{path}.{os.urandom(8).hex()}.partial"
         self._file = open(self._tmp_path, "xb")
-        self._file.write(len(header_bytes).to_bytes(8, "little"))
-        self._file.write(header_bytes)
+        try:
+            self._file.write(len(header_bytes).to_bytes(8, "little") + header_bytes)
+        except BaseException:
+            self.abort()
+            raise
         self._next = 0  # declared tensors begun
         self._current: str | None = None  # the last one begun
         self._left = 0  # its values not yet written
@@ -437,7 +440,7 @@ class CheckpointWriter:
             if values.size and not (np.isfinite(values.max()) and np.isfinite(values.min())):
                 raise ValidationError(f"tensor '{name}': non-finite value")
             encoded = _encode(values, dtype, name)
-        except Exception:
+        except BaseException:
             self.abort()
             raise
         self._file.write(memoryview(encoded).cast("B"))
@@ -452,20 +455,28 @@ class CheckpointWriter:
     def close(self) -> None:
         if self._file is None:
             return
-        if self._left or self._next != len(self._order):
-            self.abort()
+        try:
             if self._left:
                 raise self._short()
-            raise ValidationError(
-                f"only {self._next} of {len(self._order)} declared tensors written"
-            )
-        try:
+            if self._next != len(self._order):
+                raise ValidationError(
+                    f"only {self._next} of {len(self._order)} declared tensors written"
+                )
             self._file.close()
             os.replace(self._tmp_path, self.path)
         except BaseException:
             self.abort()
             raise
         self._file = None
+
+    def __enter__(self) -> CheckpointWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
 
     def abort(self) -> None:
         if self._file is not None:
@@ -482,14 +493,9 @@ def write_checkpoint(
 ) -> None:
     """Write (buffer, dtype) pairs; round-trips exactly after dtype narrowing."""
     specs = [(buf.name, buf.shape, dtype) for buf, dtype in tensors]
-    writer = CheckpointWriter(path, specs, metadata)
-    try:
+    with CheckpointWriter(path, specs, metadata) as writer:
         for buf, _ in sorted(tensors, key=lambda t: t[0].name):
             writer.write(buf)
-    except Exception:
-        writer.abort()
-        raise
-    writer.close()
 
 
 @dataclass

@@ -80,6 +80,16 @@ def no_leaked_fds():
         pytest.fail(f"{after - before} file descriptor(s) left open")
 
 
+@pytest.fixture(autouse=True)
+def no_partial_left(tmp_path):
+    """Fail a test that leaves a writer's temp file (``*.partial``) anywhere
+    under its ``tmp_path``."""
+    yield
+    left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.partial"))
+    if left:
+        pytest.fail(f"temp file(s) left behind: {left}")
+
+
 @pytest.fixture
 def small_family(tmp_path):
     """A base and two fine-tuned models over two tensors, F32."""

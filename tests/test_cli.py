@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +311,103 @@ class TestMerge:
         assert err.startswith("error: ") and "Traceback" not in err
         assert list(adir.iterdir()) == []
         assert not list(tmp_path.glob("*.partial"))
+
+    OUTPUT_CASES = ["directory", "missing parent", "file as parent", "nul", "over-long",
+                    "dot-segment", "symlink", "hard link"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.sampled_from(OUTPUT_CASES),
+        name=st.text("abcxyz019_-.", min_size=1, max_size=12).filter(
+            lambda s: s not in {".", ".."}),
+        long_len=st.integers(231, 1000),
+        victim=st.sampled_from(["base.st", "m1.st", "m2.st"]),
+        method=st.sampled_from(COEFFICIENT_METHODS),
+        transform=st.sampled_from(["none", "ties", "dare"]),
+    )
+    def test_an_unwritable_output_fails_cleanly(self, case, name, long_len, victim, method,
+                                                transform):
+        """Each spelling of an output that cannot be written exits 1 or 2
+        with no traceback, no temp file and every input unchanged. One whose
+        temp file cannot be made, or that is refused as such, reads no
+        tensor; the directory is found only at the final rename."""
+        reads = []
+
+        def counted(handle, tensor, *args, _read=tensor_store.read_payload):
+            reads.append(tensor)
+            return _read(handle, tensor, *args)
+
+        with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor_store, "read_payload", counted)
+            inputs = {f: Path(d) / f for f in ("base.st", "m1.st", "m2.st")}
+            rng = np.random.default_rng(3)
+            for path in inputs.values():
+                write_ckpt(path, {"a": rng.standard_normal((2, 3)), "b": rng.standard_normal(4)})
+            before = {f: p.read_bytes() for f, p in inputs.items()}
+            output = {
+                "directory": f"{d}/o{name}",
+                "missing parent": f"{d}/missing/{name}",
+                "file as parent": f"{d}/{victim}/{name}",
+                "nul": f"{d}/{name}\0.st",
+                "over-long": f"{d}/{'n' * long_len}",
+                "dot-segment": f"{d}/./{victim}",
+                "symlink": f"{d}/o{name}",
+                "hard link": f"{d}/o{name}",
+            }[case]
+            if case == "directory":
+                os.mkdir(output)
+            elif case == "symlink":
+                os.symlink(inputs[victim], output)
+            elif case == "hard link":
+                os.link(inputs[victim], output)
+            recipe = Path(d) / "recipe.json"
+            recipe.write_text(json.dumps({
+                "base": str(inputs["base.st"]),
+                "tasks": [{"id": "t1", "path": str(inputs["m1.st"])},
+                          {"id": "t2", "path": str(inputs["m2.st"])}],
+                "method": method, "transform": transform, "output": output,
+            }))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+                code = cli.main(["merge", "--recipe", str(recipe)])
+            refused = case in {"nul", "dot-segment", "symlink", "hard link"}
+            assert (code, out.getvalue()) == (1 if refused else 2, "")
+            assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+            assert not list(Path(d).rglob("*.partial"))
+            assert {f: p.read_bytes() for f, p in inputs.items()} == before
+            if case != "directory":
+                assert reads == []
+
+    def test_sigterm_exits_143_and_leaves_no_partial(self, tmp_path, trio, monkeypatch):
+        def outside(signum, frame):
+            raise AssertionError("SIGTERM reached the handler set outside the CLI")
+
+        def terminated(*args):
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        monkeypatch.setattr(merge_engine, "dare_transform", terminated)
+        recipe, out_path = self.write_recipe(tmp_path, trio, transform="dare")
+        previous = signal.signal(signal.SIGTERM, outside)
+        try:
+            with pytest.raises(SystemExit) as caught:
+                cli.main(["merge", "--recipe", recipe])
+            assert signal.getsignal(signal.SIGTERM) is outside
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert caught.value.code == 143
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "base.st", "m1.st", "m2.st", "recipe.json"
+        ]
+
+    def test_runs_outside_the_main_thread(self, capsys, trio):
+        # only the main thread may set a signal handler, so the CLI sets none
+        # elsewhere
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(cli.main(["inspect", trio[0]])))
+        worker.start()
+        worker.join()
+        assert codes == [0]
+        assert json.loads(capsys.readouterr().out)["total_params"] == 7
 
     @pytest.mark.parametrize("where", ["base", "output", "task"])
     def test_nul_in_a_path_exits_1(self, capsys, tmp_path, trio, where):

@@ -1081,6 +1081,36 @@ class TestRunRecipe:
         expect = 0.25 * np.array([1.0, 0, 0, 0]) + 0.75 * np.array([0, 1.0, 1.0, 1.0])
         np.testing.assert_allclose(read_tensor(handle, "w").values, expect, atol=1e-7)
 
+    @pytest.mark.parametrize("walk", [1, 2])
+    def test_interrupt_in_either_walk_leaves_no_partial(self, tmp_path, monkeypatch,
+                                                         small_family, walk):
+        paths, *_ = small_family
+        calls = []
+        real_dare = merge_engine.dare_transform
+
+        def dare(values, p, key, offset=0):
+            calls.append(key)
+            if len(calls) == stop_at:
+                raise KeyboardInterrupt
+            real_dare(values, p, key, offset)
+
+        monkeypatch.setattr(merge_engine, "dare_transform", dare)
+        recipe = MergeRecipe(
+            base=paths["base"], tasks=[TaskSpec("t1", paths["m1"]), TaskSpec("t2", paths["m2"])],
+            output=str(tmp_path / "out.st"), transform="dare", dare_p=0.5,
+        )
+        # a clean run counts the calls: both walks make one per (node, task)
+        stop_at = 0
+        run_recipe(recipe)
+        assert len(calls) == 8
+        Path(recipe.output).unlink()
+        stop_at = 1 if walk == 1 else 5
+        calls.clear()
+        with pytest.raises(KeyboardInterrupt):
+            run_recipe(recipe)
+        assert len(calls) == stop_at
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base.st", "m1.st", "m2.st"]
+
     def test_fixed_lambda_reported(self, tmp_path):
         base_p, model_ps = family(
             tmp_path, {"w": np.zeros(3)}, [{"w": np.ones(3)}, {"w": -np.ones(3)}]

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import struct
@@ -16,6 +18,7 @@ from taskmerge import (
     ValidationError,
     open_checkpoint,
     read_tensor,
+    tensor_store,
     validate_compatibility,
     write_checkpoint,
 )
@@ -536,6 +539,37 @@ class TestWriterStreaming:
         w.write(TensorBuffer("a", (1,), np.zeros(1)))
         with pytest.raises(ValidationError, match="declared tensors written"):
             w.close()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_header_write_leaves_nothing(self, tmp_path, monkeypatch):
+        # a real model's header runs to tens of KB, more than the file
+        # buffer, so a full disk shows while the header is written
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(tensor_store, "open", FullDisk, raising=False)
+        with pytest.raises(OSError) as caught:
+            CheckpointWriter(str(tmp_path / "c.st"), [("a", (1,), "F32")])
+        assert caught.value.errno == errno.ENOSPC
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit, ValueError])
+    def test_with_aborts_on_any_exception(self, tmp_path, exc):
+        with pytest.raises(exc):
+            with CheckpointWriter(str(tmp_path / "c.st"), [("a", (1,), "F32")]) as w:
+                w.write(TensorBuffer("a", (1,), np.zeros(1)))
+                raise exc
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupt_in_write_checkpoint_leaves_nothing(self, tmp_path, monkeypatch):
+        def interrupted(values, dtype, name):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(tensor_store, "_encode", interrupted)
+        buf = TensorBuffer("a", (1,), np.zeros(1))
+        with pytest.raises(KeyboardInterrupt):
+            write_checkpoint(str(tmp_path / "c.st"), [(buf, "F32")])
         assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_declared_names(self, tmp_path):
